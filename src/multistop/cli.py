@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a rule-comparison study")
     common(p_exp)
-    p_exp.add_argument("--samples", type=int, default=None, help="override scenario count")
+    p_exp.add_argument("--samples", type=int, default=None, help="override scenario count (at least 2)")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_approx = sub.add_parser("approx", help="Gamma-Laguerre density fit utilities")

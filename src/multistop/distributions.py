@@ -320,14 +320,26 @@ def poisson_m_max(freq: FrequencyModel, tail: float = 1e-10) -> int:
 
 
 def sample_ig(params: IGParams, rng: np.random.Generator, size=None):
-    """Draw from IG(mu, lam) by the Michael-Schucany-Haas transform."""
-    y = rng.standard_normal(size) ** 2
+    """Draw from IG(mu, lam) by the Michael-Schucany-Haas transform.
+
+    The stream is consumed as ``standard_normal(size)`` then ``uniform(size=size)``.
+    """
+    normal = np.asarray(rng.standard_normal(size))  # 0-d when size is None
+    out = _ig_transform(params, normal, rng.uniform(size=size))
+    return out if size is not None else float(out)
+
+
+def _ig_transform(params: IGParams, normal: np.ndarray, uniform):
+    """Michael-Schucany-Haas: IG(mu, lam) draws from standard normals and uniforms.
+
+    ``normal`` is squared in place, so the transform holds no more arrays
+    alive than a fresh draw squared on the spot would.
+    """
+    y = np.square(normal, out=normal)
     mu, lam = params.mu, params.lam
     x = mu + mu**2 * y / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
         4.0 * mu * lam * y + mu**2 * y**2
     )
     # numerical guard: the smaller root can round to 0 for extreme normals
     x = np.maximum(x, np.finfo(float).tiny)
-    u = rng.uniform(size=size)
-    out = np.where(u <= mu / (mu + x), x, mu**2 / x)
-    return out if size is not None else float(out)
+    return np.where(uniform <= mu / (mu + x), x, mu**2 / x)

@@ -118,7 +118,9 @@ def run_experiment(
     cfg = preset_config(preset) if isinstance(preset, str) else deepcopy(preset)
     name = preset if isinstance(preset, str) else cfg.get("name", "custom")
     horizon = Horizon(T=int(cfg["horizon"]["T"]), k=int(cfg["horizon"]["k"]))
-    n_sim = int(n_scenarios or cfg["mc"]["samples"])
+    n_sim = int(cfg["mc"]["samples"] if n_scenarios is None else n_scenarios)
+    if n_sim < 2:
+        raise ConfigError(f"a study needs at least 2 scenarios for its standard errors, got {n_sim}")
     run_seed = int(seed if seed is not None else cfg["mc"]["seed"])
     det_years = cfg.get("deterministic_years", [1, horizon.T // 2 + 1, horizon.T])
     kind = cfg["policy"]["kind"]
@@ -132,10 +134,15 @@ def run_experiment(
         "objectives": {},
     }
     reports = {}
+    batch = None
     for objective in cfg["objectives"]:
         model = _gain_model_for(cfg, objective)
         table = compute_value_table(model, horizon)
-        batch = _batch_for(cfg, objective, n_sim, run_seed)
+        # one (Z, Zt) panel per study: the objectives share its seed
+        if batch is None:
+            batch = _batch_for(cfg, objective, n_sim, run_seed)
+        elif kind != "ILP":  # the ILP aux batch is local whatever the objective
+            batch = batch.with_objective(objective)
         rules = default_rules(det_years)
         rr = compare_rules(batch, table, rules, horizon.k, lda=lda)
         triples = stopping_time_distribution(batch, table, horizon.k)

@@ -6,6 +6,16 @@ bit-reproducible for a given seed regardless of how the work is scheduled.
 Each T-year path carries the raw annual loss ``Z``, the insured loss ``Zt``,
 and the objective's gain ``W`` (``-Zt`` local, ``Z - Zt`` global).
 
+Stream contract: scenario ``i`` of a batch with seed ``s`` draws from
+``default_rng(SeedSequence(s, spawn_key=(i,)))``, which is the ``i``-th child
+of ``SeedSequence(s).spawn(n)``.  It draws ``poisson(rate, T)`` for its yearly
+loss counts, then ``standard_normal(total)`` and then ``random(total)`` (equal
+bit for bit to ``uniform(size=total)``) for the IG transform of its ``total``
+losses, in year order; both draws are skipped when ``total == 0``.
+Scenarios are simulated in fixed-size blocks, and the block size changes no
+result.  The objectives of a study share one (Z, Zt) panel, because they
+share its seed: ``ScenarioBatch.with_objective`` derives the second ``W``.
+
 The experiment harness replays four claim-timing rules on a common batch --
 the threshold rule from the value recursion, a fixed-years rule, a uniform
 random rule, and a claim-when-above-average rule -- and reports per-rule
@@ -17,13 +27,13 @@ game value is the negative of the optimal expected loss in local mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import _ig_cdf, poisson_pmf, sample_ig
+from .distributions import _ig_cdf, _ig_transform, poisson_pmf
 from .policies import (
     GLOBAL,
     LOCAL,
@@ -36,6 +46,9 @@ from .policies import (
 from .stopping import ValueTable, thresholds
 
 _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario streams
+# Scenarios per block of the simulation kernel.  Every scenario keeps its own
+# stream, so the block size trades memory for speed and never changes results.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -58,39 +71,105 @@ class ScenarioBatch:
     def horizon_years(self) -> int:
         return self.z.shape[1]
 
+    def with_objective(self, objective: Objective) -> ScenarioBatch:
+        """The same (Z, Zt) panel under another objective.
 
-def _insured_year_loss(kind: str, param: float, xs: np.ndarray) -> float:
-    if kind == "ALP":
-        return max(float(xs.sum()) - param, 0.0)
-    if kind == "ILP":
-        return float(np.maximum(xs - param, 0.0).sum())
-    if kind == "PAP":
-        return float(xs[np.cumsum(xs) <= param].sum())
-    raise ConfigError(f"unknown policy kind {kind!r}")
+        Equal, array for array, to simulating the batch again with the same
+        seed for that objective: the draws do not depend on the objective.
+        """
+        return replace(self, objective=objective, w=_gain(self.z, self.z_tilde, objective))
+
+
+def _check_sim_args(horizon_years: int, n_scenarios: int, seed: int) -> None:
+    if n_scenarios < 1:
+        raise ConfigError(f"need at least one scenario, got {n_scenarios}")
+    if horizon_years < 1:
+        raise ConfigError(f"horizon must be at least one year, got {horizon_years}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
+def _gain(z: np.ndarray, zt: np.ndarray, objective: Objective) -> np.ndarray:
+    return (z - zt) if objective == GLOBAL else -zt
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    return rows.sum(axis=1)
+
+
+def _segment_reduce(values, starts, lengths, reduce_rows) -> np.ndarray:
+    """``reduce_rows`` applied to every segment ``values[s : s + n]``; 0 when empty.
+
+    Segments of equal length are reduced together as the rows of one dense
+    matrix.  A row-wise ``sum`` then takes the same pairwise path as the 1-D
+    ``values[s : s + n].sum()``, bit for bit; ``np.add.reduceat`` does not.
+    """
+    out = np.zeros(lengths.size)
+    order = np.argsort(lengths, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        n = lengths[group[0]]
+        if n:
+            out[group] = reduce_rows(values[starts[group, None] + np.arange(n)])
+    return out
+
+
+def _simulate(rate, severity, horizon_years, n_scenarios, seed, year_losses):
+    """The simulation kernel: (Z, Zt) panels of compound-Poisson IG years.
+
+    Scenarios are drawn in blocks of ``_BLOCK``, each from its own child
+    stream as the module docstring states.  ``year_losses(xs, starts,
+    lengths)`` maps the block's flat severities and its scenario-year
+    segments (scenario-major) to the flat ``(z, zt)`` of those years.
+    """
+    _check_sim_args(horizon_years, n_scenarios, seed)
+    z = np.empty((n_scenarios, horizon_years))
+    zt = np.empty((n_scenarios, horizon_years))
+    normal = uniform = np.empty(0)
+    for lo in range(0, n_scenarios, _BLOCK):
+        rows = range(lo, min(lo + _BLOCK, n_scenarios))
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in rows]
+        counts = np.array([rng.poisson(rate, horizon_years) for rng in rngs])
+        totals = counts.sum(axis=1)
+        ends = np.cumsum(totals)
+        n_draws = int(ends[-1])
+        if n_draws > normal.size:
+            normal, uniform = np.empty(n_draws), np.empty(n_draws)
+        for rng, end, total in zip(rngs, ends.tolist(), totals.tolist()):
+            if total:
+                rng.standard_normal(out=normal[end - total : end])
+                rng.random(out=uniform[end - total : end])
+        xs = _ig_transform(severity, normal[:n_draws], uniform[:n_draws])
+        lengths = counts.ravel()
+        z_years, zt_years = year_losses(xs, np.cumsum(lengths) - lengths, lengths)
+        z[lo : rows.stop] = z_years.reshape(counts.shape)
+        zt[lo : rows.stop] = zt_years.reshape(counts.shape)
+    return z, zt
 
 
 def simulate_batch(
     lda: LDAModel, policy: PolicySpec, horizon_years: int, n_scenarios: int, seed: int
 ) -> ScenarioBatch:
     """Simulate straight from the policy definition, one stream per scenario."""
-    children = np.random.SeedSequence(seed).spawn(n_scenarios)
-    z = np.zeros((n_scenarios, horizon_years))
-    zt = np.zeros((n_scenarios, horizon_years))
-    for i in range(n_scenarios):
-        rng = np.random.default_rng(children[i])
-        counts = rng.poisson(lda.frequency.rate, horizon_years)
-        total = int(counts.sum())
-        xs = sample_ig(lda.severity, rng, size=total) if total else np.empty(0)
-        start = 0
-        for t in range(horizon_years):
-            year = xs[start : start + counts[t]]
-            start += counts[t]
-            z[i, t] = year.sum()
-            zt[i, t] = _insured_year_loss(policy.kind, policy.param, year)
-    w = (z - zt) if policy.objective == GLOBAL else -zt
+    kind, param = policy.kind, policy.param
+
+    def year_losses(xs, starts, lengths):
+        z = _segment_reduce(xs, starts, lengths, _row_sums)
+        if kind == "ALP":
+            return z, np.maximum(z - param, 0.0)
+        if kind == "ILP":
+            return z, _segment_reduce(np.maximum(xs - param, 0.0), starts, lengths, _row_sums)
+        # PAP: the leading losses whose running total stays within the attachment
+        within = _segment_reduce(
+            xs, starts, lengths, lambda m: (np.cumsum(m, axis=1) <= param).sum(axis=1)
+        )
+        return z, _segment_reduce(xs, starts, within.astype(lengths.dtype), _row_sums)
+
+    z, zt = _simulate(
+        lda.frequency.rate, lda.severity, horizon_years, n_scenarios, seed, year_losses
+    )
     return ScenarioBatch(
-        kind=policy.kind, param=policy.param, objective=policy.objective, seed=seed,
-        z=z, z_tilde=zt, w=w,
+        kind=kind, param=param, objective=policy.objective, seed=seed,
+        z=z, z_tilde=zt, w=_gain(z, zt, policy.objective),
     )
 
 
@@ -102,18 +181,18 @@ def simulate_aux_local_batch(
     Only the insured loss exists in this model, so ``Z`` is stored equal to
     ``Zt`` and the gain is ``-Zt``.
     """
-    children = np.random.SeedSequence(seed).spawn(n_scenarios)
-    zt = np.zeros((n_scenarios, horizon_years))
-    for i in range(n_scenarios):
-        rng = np.random.default_rng(children[i])
-        counts = rng.poisson(aux.aux_rate, horizon_years)
-        total = int(counts.sum())
-        if total:
-            xs = sample_ig(aux.aux_severity, rng, size=total)
-            np.add.at(zt[i], np.repeat(np.arange(horizon_years), counts), xs)
+
+    def year_losses(xs, starts, lengths):
+        # each year adds its losses one at a time, in draw order
+        zt = _segment_reduce(xs, starts, lengths, lambda m: np.cumsum(m, axis=1)[:, -1])
+        return zt, zt
+
+    z, zt = _simulate(
+        aux.aux_rate, aux.aux_severity, horizon_years, n_scenarios, seed, year_losses
+    )
     return ScenarioBatch(
         kind="ILP-aux", param=aux.aux_rate, objective=LOCAL, seed=seed,
-        z=zt.copy(), z_tilde=zt, w=-zt,
+        z=z, z_tilde=zt, w=-zt,
     )
 
 
@@ -297,11 +376,8 @@ def stopping_time_distribution(
     if k != table.k:
         raise ConfigError(f"k={k} does not match table k={table.k}")
     taus = rule_claim_years(batch, table, ComparisonRule("optimal"))
-    counts: dict[tuple[int, ...], int] = {}
-    for row in taus:
-        key = tuple(int(t) for t in row)
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
+    keys, counts = np.unique(taus, axis=0, return_counts=True)
+    return {tuple(key): count for key, count in zip(keys.tolist(), counts.tolist())}
 
 
 def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:

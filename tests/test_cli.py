@@ -191,6 +191,17 @@ def test_experiment_is_seed_deterministic(tmp_path, capsys):
     assert (a_dir / "report.json").read_text() == (b_dir / "report.json").read_text()
 
 
+@pytest.mark.parametrize("samples", ["0", "1", "-5"])
+def test_experiment_rejects_too_few_samples(tmp_path, capsys, samples):
+    code = main(["experiment", "--preset", "ilp-study", "--samples", samples, "--out", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["error"]["type"] == "config"
+    assert samples in payload["error"]["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_experiment_unknown_preset_errors(capsys):
     code = main(["experiment", "--preset", "nope"])
     out, err = capsys.readouterr()

@@ -5,9 +5,11 @@ import pytest
 from scipy.stats import chisquare
 
 from multistop.distributions import FrequencyModel, IGParams
+from multistop.experiments import preset_config, run_experiment
 from multistop.policies import GLOBAL, LOCAL, ConfigError, ILPAuxModel, LDAModel, PolicySpec
-from multistop.policies import alp_global_model, alp_local_model
+from multistop.policies import alp_global_model, alp_local_model, lda_from_config
 from multistop.simulation import (
+    _BLOCK,
     ComparisonRule,
     compare_rules,
     default_rules,
@@ -21,6 +23,7 @@ from multistop.simulation import (
     stopping_time_distribution,
 )
 from multistop.stopping import Horizon, compute_value_table
+from sim_reference import reference_simulate_aux_local_batch, reference_simulate_batch
 
 LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
 ALP_GLOBAL = PolicySpec(kind="ALP", param=10.0, objective=GLOBAL)
@@ -74,6 +77,72 @@ def test_aux_batch_shape_and_signs():
     assert batch.objective == LOCAL
     assert np.array_equal(batch.w, -batch.z_tilde)
     assert np.array_equal(batch.z, batch.z_tilde)
+
+
+@pytest.mark.parametrize("horizon_years, n_scenarios, seed", [(8, 0, 1), (8, -5, 1), (0, 10, 1), (8, 10, -1)])
+def test_simulators_reject_bad_sizes_and_seeds(horizon_years, n_scenarios, seed):
+    aux = ILPAuxModel(aux_rate=4.0, aux_severity=IGParams(mu=1.0, lam=3.0))
+    with pytest.raises(ConfigError):
+        simulate_batch(LDA, ALP_GLOBAL, horizon_years, n_scenarios, seed)
+    with pytest.raises(ConfigError):
+        simulate_aux_local_batch(aux, horizon_years, n_scenarios, seed)
+
+
+# ---------------------------------------------------------------- bit identity
+
+# Rate 0.05 leaves most years empty, 40 gives years of 9+ losses (numpy's
+# unrolled pairwise sum) and 150 years of 128+ (its recursive split).
+REFERENCE_CASES = [
+    (rate, n) for rate in (0.05, 40.0) for n in (1, _BLOCK, _BLOCK + 1)
+] + [(150.0, 40)]
+
+
+def _assert_same_panels(got, want):
+    assert got.objective == want.objective
+    for field in ("z", "z_tilde", "w"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("kind, param", [("ALP", 10.0), ("PAP", 4.0), ("ILP", 1.0)])
+@pytest.mark.parametrize("rate, n", REFERENCE_CASES)
+def test_simulate_batch_matches_frozen_loops(kind, param, rate, n):
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=1.0, lam=1.5))
+    for objective in (GLOBAL, LOCAL):
+        policy = PolicySpec(kind=kind, param=param, objective=objective)
+        _assert_same_panels(
+            simulate_batch(lda, policy, 3, n, seed=11),
+            reference_simulate_batch(lda, policy, 3, n, seed=11),
+        )
+
+
+@pytest.mark.parametrize("rate, n", REFERENCE_CASES)
+def test_aux_batch_matches_frozen_loop(rate, n):
+    aux = ILPAuxModel(aux_rate=rate, aux_severity=IGParams(mu=1.0, lam=3.0))
+    _assert_same_panels(
+        simulate_aux_local_batch(aux, 3, n, seed=12),
+        reference_simulate_aux_local_batch(aux, 3, n, seed=12),
+    )
+
+
+@pytest.mark.parametrize("kind, param", [("ALP", 10.0), ("PAP", 4.0), ("ILP", 1.0)])
+def test_shared_panel_equals_fresh_simulation(kind, param):
+    for first, second in ((GLOBAL, LOCAL), (LOCAL, GLOBAL)):
+        batch = simulate_batch(LDA, PolicySpec(kind, param, first), 8, 300, seed=4)
+        fresh = simulate_batch(LDA, PolicySpec(kind, param, second), 8, 300, seed=4)
+        _assert_same_panels(batch.with_objective(second), fresh)
+
+
+def test_run_experiment_second_objective_matches_its_own_simulation():
+    cfg = preset_config("alp-study")
+    first, second = cfg["objectives"]
+    lda = lda_from_config(cfg)
+    report = run_experiment("alp-study", seed=3, n_scenarios=500)
+    batch = simulate_batch(lda, PolicySpec("ALP", 10.0, second), 8, 500, seed=3)
+    model = {GLOBAL: alp_global_model, LOCAL: alp_local_model}[second](lda, 10.0)
+    table = compute_value_table(model, Horizon(T=8, k=3))
+    rr = compare_rules(batch, table, default_rules(cfg["deterministic_years"]), 3, lda=lda)
+    got = report["objectives"][second]["rules"]
+    assert {out.name: out.mean for out in rr.outcomes} == {name: v["mean"] for name, v in got.items()}
 
 
 # ---------------------------------------------------------------- rules
@@ -182,6 +251,18 @@ def test_stopping_time_distribution_support(small_batch, global_table):
     assert sum(dist.values()) == small_batch.n_scenarios
     for taus in dist:
         assert 1 <= taus[0] < taus[1] < taus[2] <= 8
+
+
+def test_stopping_time_distribution_matches_row_loop(small_batch, global_table):
+    taus = rule_claim_years(small_batch, global_table, ComparisonRule("optimal"))
+    expected: dict = {}
+    for row in taus:
+        key = tuple(int(t) for t in row)
+        expected[key] = expected.get(key, 0) + 1
+    dist = stopping_time_distribution(small_batch, global_table, 3)
+    assert list(dist.items()) == sorted(expected.items())
+    assert all(type(t) is int for key in dist for t in key)
+    assert all(type(c) is int for c in dist.values())
 
 
 def test_price_proxy_nonnegative_and_consistent(global_table):
