@@ -82,6 +82,7 @@ from .stopping import (
     Horizon,
     StoppingResult,
     StoppingState,
+    StopLossGain,
     ValueTable,
     compute_value_table,
     decide,

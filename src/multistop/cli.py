@@ -26,15 +26,7 @@ import numpy as np
 from . import expansion
 from .distributions import NumericalError
 from .experiments import preset_config, run_experiment
-from .policies import (
-    GLOBAL,
-    LOCAL,
-    ConfigError,
-    aux_from_config,
-    gain_model_from_config,
-    ilp_local_model,
-    load_config,
-)
+from .policies import GLOBAL, LOCAL, ConfigError, gain_model_from_config, load_config
 from .simulation import simulate_batch
 from .stopping import (
     Decision,
@@ -43,7 +35,6 @@ from .stopping import (
     ValueTable,
     compute_value_table,
     decide,
-    lognormal_local_model,
 )
 
 VALUE_TABLE_PRESETS = {
@@ -80,9 +71,9 @@ def _resolve_model_config(args) -> dict:
             cfg = preset_config(args.preset)
     else:
         raise ConfigError("provide --config PATH or --preset NAME")
-    if args.horizon_T:
+    if args.horizon_T is not None:
         cfg.setdefault("horizon", {})["T"] = args.horizon_T
-    if args.horizon_k:
+    if args.horizon_k is not None:
         cfg.setdefault("horizon", {})["k"] = args.horizon_k
     if args.objective:
         cfg["objective"] = args.objective
@@ -105,19 +96,6 @@ def resolve_run_config(args) -> RunConfig:
         seed=args.seed,
         preset=args.preset,
     )
-
-
-def _build_model(cfg: dict):
-    if "lognormal" in cfg:
-        ln = cfg["lognormal"]
-        return lognormal_local_model(float(ln.get("mu", 0.0)), float(ln.get("sigma", 1.0)))
-    if "gamma" in cfg:
-        gm = cfg["gamma"]
-        return expansion.gamma_local_model(float(gm["shape"]), float(gm["rate"]))
-    if cfg["policy"]["kind"] == "ILP" and cfg["objective"] == LOCAL:
-        # study presets leave the per-loss cap unset for the aux-modelled case
-        return ilp_local_model(aux_from_config(cfg))
-    return gain_model_from_config(cfg)
 
 
 def _horizon(cfg: dict) -> Horizon:
@@ -143,7 +121,7 @@ def _write_thresholds_csv(table: ValueTable, path: str) -> None:
 
 def cmd_value_table(args) -> int:
     run = resolve_run_config(args)
-    model = _build_model(run.model)
+    model = gain_model_from_config(run.model)
     horizon = run.horizon
     table = compute_value_table(model, horizon)
     out = run.out_dir or "."
@@ -159,7 +137,7 @@ def cmd_value_table(args) -> int:
 
 def cmd_advise(args) -> int:
     run = resolve_run_config(args)
-    model = _build_model(run.model)
+    model = gain_model_from_config(run.model)
     horizon = run.horizon
     table = compute_value_table(model, horizon)
     local_losses = args.raw_loss and run.model["objective"] == LOCAL

@@ -319,6 +319,32 @@ def poisson_m_max(freq: FrequencyModel, tail: float = 1e-10) -> int:
     return m
 
 
+class CompoundIG:
+    """Compound-Poisson IG annual aggregate as a mixture over the loss count.
+
+    Given ``N = m`` the aggregate is the IG sum ``S_m ~ IG(m mu, m^2 lam)``.
+    The weights ``p_m`` stop at ``m_max`` and are not renormalised: their
+    defect is the Poisson tail ``P[N > m_max]``.  ``cdf`` and ``partial_mean``
+    return one entry per count ``m = 1..m_max``.
+    """
+
+    def __init__(self, frequency: FrequencyModel, severity: IGParams, m_max: int) -> None:
+        m = np.arange(1, m_max + 1)
+        self.p0 = float(poisson_pmf(0, frequency))
+        self.pm = poisson_pmf(m, frequency)
+        self.m_mu = m * severity.mu
+        self.alpha = severity.lam / severity.mu**2
+        self.beta = m * m * severity.lam
+
+    def cdf(self, x):
+        """``F_{S_m}(x)``."""
+        return _ig_cdf(x, self.m_mu, self.beta)
+
+    def partial_mean(self, x):
+        """``E[S_m; S_m <= x] = m mu F_GIG(x; lam/mu^2, m^2 lam, +1/2)``."""
+        return self.m_mu * _gig_half_cdf(x, self.alpha, self.beta)
+
+
 def sample_ig(params: IGParams, rng: np.random.Generator, size=None):
     """Draw from IG(mu, lam) by the Michael-Schucany-Haas transform.
 

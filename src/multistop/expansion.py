@@ -28,6 +28,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammainc, gammaincinv, gammaln
 
+from .stopping import StopLossGain
+
 _KERNEL_MASS_TAIL = 1e-12
 POSITIVITY_TOL = 1e-12
 
@@ -339,29 +341,23 @@ def approx_expected_min(fit: ExpansionFit, c1: float, c2: float) -> float:
     return partial + low + high
 
 
-class ExpansionLocalGain:
+class ExpansionLocalGain(StopLossGain):
     """Local-objective gain model driven by a fitted expansion (W = -Zt)."""
 
     def __init__(self, fit: ExpansionFit) -> None:
         self.fit = fit
+        super().__init__(-fit.a / fit.b)
 
-    @property
-    def mean_gain(self) -> float:
-        return -self.fit.a / self.fit.b
-
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self.mean_gain
-        if c1 > 0 or c2 > c1:
-            raise ValueError(f"local-objective model needs c2 <= c1 <= 0, got ({c1}, {c2})")
-        return -approx_expected_min(self.fit, -c1, -c2)
+    def stop_loss(self, delta: float) -> float:
+        # E[(d - Zt)+] = d - E[min{Zt, d}] at d = -delta
+        return -delta - approx_expected_min(self.fit, 0.0, -delta)
 
 
 def expansion_local_gain_model(fit: ExpansionFit) -> ExpansionLocalGain:
     return ExpansionLocalGain(fit)
 
 
-class GammaLocalGain:
+class GammaLocalGain(StopLossGain):
     """Exact reference model for Gamma(shape, rate) insured losses, W = -Zt."""
 
     def __init__(self, shape: float, rate: float) -> None:
@@ -369,21 +365,14 @@ class GammaLocalGain:
             raise ValueError(f"need positive shape and rate, got ({shape}, {rate})")
         self.shape = shape
         self.rate = rate
+        super().__init__(-shape / rate)
 
-    @property
-    def mean_gain(self) -> float:
-        return -self.shape / self.rate
-
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self.mean_gain
-        if c1 > 0 or c2 > c1:
-            raise ValueError(f"local-objective model needs c2 <= c1 <= 0, got ({c1}, {c2})")
-        q1, q2 = -c1, -c2
-        x = self.rate * (q2 - q1)
+    def stop_loss(self, delta: float) -> float:
+        # E[(d - Zt)+] = d F(d) - E[Zt; Zt <= d] at d = -delta
+        d = -delta
+        x = self.rate * d
         partial = (self.shape / self.rate) * gammainc(self.shape + 1.0, x)
-        f = gammainc(self.shape, x)
-        return -(partial + q1 * f + q2 * (1.0 - f))
+        return d * gammainc(self.shape, x) - partial
 
 
 def gamma_local_model(shape: float, rate: float) -> GammaLocalGain:

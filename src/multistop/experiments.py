@@ -21,13 +21,9 @@ from .policies import (
     LOCAL,
     ConfigError,
     PolicySpec,
-    alp_global_model,
-    alp_local_model,
     aux_from_config,
-    ilp_local_model,
+    gain_model_from_config,
     lda_from_config,
-    pap_global_model,
-    pap_local_model,
 )
 from .simulation import (
     ScenarioBatch,
@@ -82,23 +78,6 @@ def preset_config(name: str) -> dict:
     return deepcopy(EXPERIMENT_PRESETS[name])
 
 
-def _gain_model_for(cfg: dict, objective: str):
-    kind = cfg["policy"]["kind"]
-    if kind == "ILP":
-        if objective != LOCAL:
-            raise ConfigError("the ILP study runs under the local objective only")
-        return ilp_local_model(aux_from_config(cfg))
-    lda = lda_from_config(cfg)
-    param = float(cfg["policy"]["param"])
-    builders = {
-        ("ALP", LOCAL): alp_local_model,
-        ("ALP", GLOBAL): alp_global_model,
-        ("PAP", LOCAL): pap_local_model,
-        ("PAP", GLOBAL): pap_global_model,
-    }
-    return builders[(kind, objective)](lda, param)
-
-
 def _batch_for(cfg: dict, objective: str, n_scenarios: int, seed: int) -> ScenarioBatch:
     kind = cfg["policy"]["kind"]
     T = int(cfg["horizon"]["T"])
@@ -136,7 +115,9 @@ def run_experiment(
     reports = {}
     batch = None
     for objective in cfg["objectives"]:
-        model = _gain_model_for(cfg, objective)
+        if kind == "ILP" and objective != LOCAL:
+            raise ConfigError("the ILP study runs under the local objective only")
+        model = gain_model_from_config({**cfg, "objective": objective})
         table = compute_value_table(model, horizon)
         # one (Z, Zt) panel per study: the objectives share its seed
         if batch is None:

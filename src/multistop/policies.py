@@ -35,16 +35,18 @@ from scipy import integrate
 from .distributions import (
     DEFAULT_QUAD,
     FrequencyModel,
+    CompoundIG,
     IGParams,
     QuadratureSpec,
     _gig_half_cdf,
     _ig_cdf,
     _ig_pdf,
     poisson_m_max,
-    poisson_pmf,
     poisson_sf,
     sample_ig,
 )
+from .expansion import gamma_local_model
+from .stopping import StopLossGain, lognormal_local_model
 
 Objective = Literal["local", "global"]
 LOCAL: Objective = "local"
@@ -81,6 +83,10 @@ class LDAModel:
     @property
     def mean_annual_loss(self) -> float:
         return self.frequency.rate * self.severity.mu
+
+    def mixture(self) -> CompoundIG:
+        """The annual aggregate as a mixture over the truncated loss count."""
+        return CompoundIG(self.frequency, self.severity, self.m_max)
 
 
 @dataclass(frozen=True)
@@ -151,16 +157,6 @@ class EmpiricalGainSample:
             raise ConfigError("gain draws must be nonnegative")
 
 
-def _check_local_regime(c1: float, c2: float) -> None:
-    if c1 > 0 or c2 > c1:
-        raise ValueError(f"local-objective model needs c2 <= c1 <= 0, got ({c1}, {c2})")
-
-
-def _check_global_regime(c1: float, c2: float) -> None:
-    if c1 < 0 or c2 < c1:
-        raise ValueError(f"global-objective model needs 0 <= c1 <= c2, got ({c1}, {c2})")
-
-
 def _leggauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     t, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (hi - lo)
@@ -172,12 +168,13 @@ def _leggauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-class AlpLocalGain:
+class AlpLocalGain(StopLossGain):
     """ALP, local objective: W = -max(Z - cap, 0).
 
-    Conditional on ``N = m`` and on the aggregate exceeding the cap, the
-    insured loss is the aggregate's excess; its partial expectations reduce
-    to GIG CDFs of order +-1/2 evaluated at shifted arguments.
+    The insured loss has an atom at zero (no excess) and, given ``N = m``,
+    the excess of the IG sum over the cap.  Its stop-loss transform at
+    ``delta = -d`` needs the count mixture's CDF and partial mean at the cap
+    and at ``cap + d`` only.
     """
 
     def __init__(self, lda: LDAModel, cap: float) -> None:
@@ -185,102 +182,54 @@ class AlpLocalGain:
             raise ConfigError(f"cap must be positive, got {cap}")
         self.lda = lda
         self.cap = cap
-        mu, lam = lda.severity.mu, lda.severity.lam
-        m = np.arange(1, lda.m_max + 1)
-        self._m_mu = m * mu
-        self._alpha = lam / mu**2
-        self._beta = m * m * lam
-        self._pm = poisson_pmf(m, lda.frequency)
-        self._p0 = float(poisson_pmf(0, lda.frequency))
-        self._f_cap = _ig_cdf(cap, self._m_mu, self._beta)
-        self._f_cap_half = _gig_half_cdf(cap, self._alpha, self._beta)
+        mix = self._mix = lda.mixture()
+        self._f_cap = mix.cdf(cap)
+        self._pmean_cap = mix.partial_mean(cap)
         self.weights = ALPWeights(
-            c0=self._p0 + float(np.sum(self._pm * self._f_cap)),
-            cm=self._pm * (1.0 - self._f_cap),
+            c0=mix.p0 + float(np.sum(mix.pm * self._f_cap)),
+            cm=mix.pm * (1.0 - self._f_cap),
         )
-        self._mean_insured = float(
-            np.sum(
-                self._pm
-                * (self._m_mu * (1.0 - self._f_cap_half) - cap * (1.0 - self._f_cap))
-            )
-        )
+        excess = mix.m_mu - self._pmean_cap - cap * (1.0 - self._f_cap)
+        super().__init__(-float(np.sum(mix.pm * excess)))
 
-    @property
-    def mean_gain(self) -> float:
-        return -self._mean_insured
-
-    def expected_min_insured(self, q1: float, q2: float) -> float:
-        """``E[min{q1 + Zt, q2}]`` for 0 <= q1 <= q2."""
-        y = (q2 - q1) + self.cap
-        f_y = _ig_cdf(y, self._m_mu, self._beta)
-        f_y_half = _gig_half_cdf(y, self._alpha, self._beta)
-        body = np.sum(
-            self._pm
-            * (
-                self._m_mu * (f_y_half - self._f_cap_half)
-                + (q1 - self.cap) * (f_y - self._f_cap)
-                + q2 * (1.0 - f_y)
-            )
-        )
-        return float(body + q1 * self.weights.c0)
-
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self.mean_gain
-        _check_local_regime(c1, c2)
-        return -self.expected_min_insured(-c1, -c2)
+    def stop_loss(self, delta: float) -> float:
+        # E[(d - Zt)+]: d on the atom, (cap + d - Z) on cap < Z <= cap + d
+        y = self.cap - delta
+        mix = self._mix
+        body = y * (mix.cdf(y) - self._f_cap) - (mix.partial_mean(y) - self._pmean_cap)
+        return float(np.sum(mix.pm * body)) - delta * self.weights.c0
 
 
-class AlpGlobalGain:
+class AlpGlobalGain(StopLossGain):
     """ALP, global objective: W = min(cap, Z).
 
     The gain has atoms at 0 (no losses) and at the cap (aggregate exceeds it)
     with the IG-sum density in between.
     """
 
+    local = False
+
     def __init__(self, lda: LDAModel, cap: float) -> None:
         if not (math.isfinite(cap) and cap > 0):
             raise ConfigError(f"cap must be positive, got {cap}")
         self.lda = lda
         self.cap = cap
-        mu, lam = lda.severity.mu, lda.severity.lam
-        m = np.arange(1, lda.m_max + 1)
-        self._m_mu = m * mu
-        self._alpha = lam / mu**2
-        self._beta = m * m * lam
-        self._pm = poisson_pmf(m, lda.frequency)
-        self._p0 = float(poisson_pmf(0, lda.frequency))
-        self._f_cap = _ig_cdf(cap, self._m_mu, self._beta)
-        self._f_cap_half = _gig_half_cdf(cap, self._alpha, self._beta)
-        self._mean = float(
-            np.sum(self._pm * (cap * (1.0 - self._f_cap) + self._m_mu * self._f_cap_half))
-        )
+        mix = self._mix = lda.mixture()
+        self._f_cap = mix.cdf(cap)
+        self._pmean_cap = mix.partial_mean(cap)
+        super().__init__(float(np.sum(mix.pm * (cap * (1.0 - self._f_cap) + self._pmean_cap))))
 
-    @property
-    def mean_gain(self) -> float:
-        return self._mean
-
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self._mean
-        _check_global_regime(c1, c2)
-        if c2 == c1:
-            return c1 + self._mean  # max{c1 + W, c1} = c1 + W for W >= 0
-        if c2 - c1 >= self.cap:
-            return float(c2)  # the gain is capped, so c2 always wins
-        d = min(c2 - c1, self.cap)
-        f_d = _ig_cdf(d, self._m_mu, self._beta)
-        f_d_half = _gig_half_cdf(d, self._alpha, self._beta)
-        body = np.sum(
-            self._pm
-            * (
-                (1.0 - self._f_cap) * max(c1 + self.cap, c2)
-                + c1 * (self._f_cap - f_d)
-                + self._m_mu * (self._f_cap_half - f_d_half)
-                + c2 * f_d
-            )
+    def stop_loss(self, delta: float) -> float:
+        if delta >= self.cap:
+            return 0.0  # the gain never exceeds the cap
+        mix = self._mix
+        f_d = mix.cdf(delta)
+        body = (
+            (self.cap - delta) * (1.0 - self._f_cap)
+            + (self._pmean_cap - mix.partial_mean(delta))
+            - delta * (self._f_cap - f_d)
         )
-        return float(body + self._p0 * c2)
+        return float(np.sum(mix.pm * body))
 
 
 def alp_local_model(lda: LDAModel, cap: float) -> AlpLocalGain:
@@ -342,17 +291,17 @@ def pap_weights(
 ) -> PAPWeights:
     """Conditioning weights for the PAP decompositions (count x crossing index)."""
     m_max = lda.m_max
-    pm = poisson_pmf(np.arange(1, m_max + 1), lda.frequency)
+    mix = lda.mixture()
+    pm = mix.pm
     mstar = np.array([mstar_pmf(j, lda, attachment, quad) for j in range(1, m_max + 1)])
-    mu, lam = lda.severity.mu, lda.severity.lam
-    dm = pm * _ig_cdf(attachment, np.arange(1, m_max + 1) * mu, np.arange(1, m_max + 1) ** 2 * lam)
+    dm = pm * mix.cdf(attachment)
     dmm = np.zeros((m_max, m_max))
     for m in range(1, m_max + 1):
         dmm[: m, m - 1] = mstar[:m] * pm[m - 1]
     return PAPWeights(dmm=dmm, dm=dm, mstar_pmf=mstar)
 
 
-class PapLocalGain:
+class PapLocalGain(StopLossGain):
     """PAP, local objective: W = -(sum of losses up to the attachment crossing).
 
     Conditioning on the crossing index ``j``, the insured loss is the partial
@@ -369,14 +318,8 @@ class PapLocalGain:
         self.lda = lda
         self.attachment = attachment
         mu, lam = lda.severity.mu, lda.severity.lam
-        m_max = lda.m_max
-        m = np.arange(1, m_max + 1)
-        self._m_mu = m * mu
-        self._alpha = lam / mu**2
-        self._beta = m * m * lam
-        self._pm = poisson_pmf(m, lda.frequency)
-        self._p0 = float(poisson_pmf(0, lda.frequency))
-        self._f_att = _ig_cdf(attachment, self._m_mu, self._beta)
+        mix = self._mix = lda.mixture()
+        self._f_att = mix.cdf(attachment)
 
         nodes, wts = _leggauss(n_nodes, 0.0, attachment)
         self._nodes = nodes
@@ -384,47 +327,34 @@ class PapLocalGain:
         # g[q] aggregates, over all crossing indices j >= 2, the sub-density of
         # the retained sum at the node, weighted by P[N >= j].
         g = np.zeros(n_nodes)
-        for j in range(2, m_max + 1):
+        for j in range(2, lda.m_max + 1):
             prev = j - 1
             dens = _ig_pdf(nodes, prev * mu, prev * prev * lam)
             p_at_least_j = poisson_sf(j - 1, lda.frequency)
             g += p_at_least_j * wts * cross * dens
         self._g = g
-        self._atom = self._p0 + (1.0 - self._p0) * float(1.0 - _ig_cdf(attachment, mu, lam))
+        self._atom = mix.p0 + (1.0 - mix.p0) * float(1.0 - _ig_cdf(attachment, mu, lam))
         mean_cross = float(np.sum(nodes * g))
-        mean_never = float(
-            np.sum(self._pm * self._m_mu * _gig_half_cdf(attachment, self._alpha, self._beta))
-        )
-        self._mean_insured = mean_cross + mean_never
+        mean_never = float(np.sum(mix.pm * mix.partial_mean(attachment)))
+        super().__init__(-(mean_cross + mean_never))
 
-    @property
-    def mean_gain(self) -> float:
-        return -self._mean_insured
-
-    def expected_min_insured(self, q1: float, q2: float) -> float:
-        """``E[min{q1 + Zt, q2}]`` for 0 <= q1 <= q2."""
-        d = min(q2 - q1, self.attachment)
-        f_d = _ig_cdf(d, self._m_mu, self._beta)
-        f_d_half = _gig_half_cdf(d, self._alpha, self._beta)
-        never = np.sum(
-            self._pm * (q1 * f_d + self._m_mu * f_d_half + q2 * (self._f_att - f_d))
-        )
-        cross = np.sum(np.minimum(q1 + self._nodes, q2) * self._g)
-        return float(never + cross + q1 * self._atom)
-
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self.mean_gain
-        _check_local_regime(c1, c2)
-        return -self.expected_min_insured(-c1, -c2)
+    def stop_loss(self, delta: float) -> float:
+        # E[(d - Zt)+] over the atom, the never-crossing sums (all below the
+        # attachment) and the crossing branch's retained sums at the nodes
+        d = -delta
+        mix = self._mix
+        below = min(d, self.attachment)
+        never = np.sum(mix.pm * (d * mix.cdf(below) - mix.partial_mean(below)))
+        cross = np.sum(np.maximum(d - self._nodes, 0.0) * self._g)
+        return float(never + cross + d * self._atom)
 
     def total_mass(self) -> float:
         """Atom plus quadrature mass of all branches; 1 up to grid error."""
-        never = float(np.sum(self._pm * self._f_att))
+        never = float(np.sum(self._mix.pm * self._f_att))
         return self._atom + float(np.sum(self._g)) + never
 
 
-class PapGlobalGain:
+class PapGlobalGain(StopLossGain):
     """PAP, global objective: W = sum of losses from the crossing onwards.
 
     Conditional on ``N = m`` and crossing index ``j``, the gain is the
@@ -433,6 +363,8 @@ class PapGlobalGain:
     integrate a closed-form inner kernel over the crossing gap and the
     pre-crossing sum on nested Gauss-Legendre grids.
     """
+
+    local = False
 
     def __init__(
         self, lda: LDAModel, attachment: float, n_outer: int = 128, n_inner: int = 64
@@ -446,11 +378,8 @@ class PapGlobalGain:
         self._alpha = lam / mu**2
         m_max = lda.m_max
         self._m_max = m_max
-        m = np.arange(1, m_max + 1)
-        self._pm = poisson_pmf(m, lda.frequency)
-        self._p0 = float(poisson_pmf(0, lda.frequency))
-        self._f_att_m = _ig_cdf(attachment, m * mu, m * m * lam)
-        self.prob_zero_gain = self._p0 + float(np.sum(self._pm * self._f_att_m))
+        mix = lda.mixture()
+        self.prob_zero_gain = mix.p0 + float(np.sum(mix.pm * mix.cdf(attachment)))
 
         nodes, wts = _leggauss(n_outer, 0.0, attachment)
         self._u = attachment - nodes  # gap the crossing loss must exceed
@@ -460,9 +389,9 @@ class PapGlobalGain:
         for i in range(1, m_max):
             dens = wts * _ig_pdf(nodes, i * mu, i * i * lam)
             for r in range(0, m_max - i):
-                h[r] += self._pm[i + r] * dens
+                h[r] += mix.pm[i + r] * dens
         self._h = h
-        self._pr1 = self._pm.copy()  # P[N = r + 1] weights the crossing-first branch
+        self._pr1 = mix.pm  # P[N = r + 1] weights the crossing-first branch
         self._ti, self._wi = np.polynomial.legendre.leggauss(n_inner)
         # effective support bounds: where the crossing-loss density and the
         # largest residual sum's stop-loss transform have fully decayed
@@ -475,7 +404,8 @@ class PapGlobalGain:
             s_cap *= 2.0
         self._s_cap = s_cap
 
-        self._mean = self._reduce(self._psi_mean(self._u), self._psi_mean(np.array([attachment])))
+        mean = self._reduce(self._psi_mean(self._u), self._psi_mean(np.array([attachment])))
+        super().__init__(mean)
 
     def _reduce(self, psi_u: np.ndarray, psi_att: np.ndarray) -> float:
         return float(np.sum(self._h * psi_u) + np.sum(self._pr1 * psi_att[:, 0]))
@@ -524,10 +454,6 @@ class PapGlobalGain:
                     out[rr, rows] += np.sum(fx * stop_loss, axis=1)
         return out
 
-    @property
-    def mean_gain(self) -> float:
-        return self._mean
-
     def continuous_mass(self) -> float:
         """Quadrature mass of the strictly-positive-gain branches."""
         tail_u = np.tile(1.0 - _ig_cdf(self._u, self._mu, self._lam), (self._m_max, 1))
@@ -537,15 +463,11 @@ class PapGlobalGain:
         )
         return self._reduce(tail_u, tail_att)
 
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self._mean
-        _check_global_regime(c1, c2)
-        if c2 == c1:
-            return c1 + self._mean  # max{c1 + W, c1} = c1 + W for W >= 0
+    def stop_loss(self, delta: float) -> float:
+        # E[max{W, delta}] - delta: the kernel at c1 = 0, plus the zero-gain atom
         att = np.array([self.attachment])
-        val = self._reduce(self._psi_max(self._u, c1, c2), self._psi_max(att, c1, c2))
-        return float(val + c2 * self.prob_zero_gain)
+        val = self._reduce(self._psi_max(self._u, 0.0, delta), self._psi_max(att, 0.0, delta))
+        return val + delta * (self.prob_zero_gain - 1.0)
 
 
 def pap_local_model(lda: LDAModel, attachment: float) -> PapLocalGain:
@@ -561,42 +483,24 @@ def pap_global_model(lda: LDAModel, attachment: float) -> PapGlobalGain:
 # ---------------------------------------------------------------------------
 
 
-class IlpLocalGain:
+class IlpLocalGain(StopLossGain):
     """ILP, local objective, on the directly-modelled post-insurance process.
 
     ``Zt`` is compound Poisson with rate ``aux_rate`` and IG severities, so
-    its restricted expectations are plain IG-sum / GIG CDF evaluations.
+    its stop-loss transform is a count mixture of IG-sum CDFs and partial
+    means.
     """
 
     def __init__(self, aux: ILPAuxModel) -> None:
         self.aux = aux
         freq = FrequencyModel(rate=aux.aux_rate)
-        n_max = poisson_m_max(freq, POISSON_TAIL)
-        n = np.arange(1, n_max + 1)
-        mu, lam = aux.aux_severity.mu, aux.aux_severity.lam
-        self._n_mu = n * mu
-        self._alpha = lam / mu**2
-        self._beta = n * n * lam
-        self._pn = poisson_pmf(n, freq)
-        self._p0 = float(poisson_pmf(0, freq))
-        self._mean_insured = aux.aux_rate * mu
+        self._mix = CompoundIG(freq, aux.aux_severity, poisson_m_max(freq, POISSON_TAIL))
+        super().__init__(-aux.aux_rate * aux.aux_severity.mu)
 
-    @property
-    def mean_gain(self) -> float:
-        return -self._mean_insured
-
-    def expected_min_insured(self, q1: float, q2: float) -> float:
-        d = q2 - q1
-        f_d = _ig_cdf(d, self._n_mu, self._beta)
-        f_d_half = _gig_half_cdf(d, self._alpha, self._beta)
-        body = np.sum(self._pn * (self._n_mu * f_d_half + q1 * f_d + q2 * (1.0 - f_d)))
-        return float(body + q1 * self._p0)
-
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self.mean_gain
-        _check_local_regime(c1, c2)
-        return -self.expected_min_insured(-c1, -c2)
+    def stop_loss(self, delta: float) -> float:
+        d = -delta
+        mix = self._mix
+        return float(np.sum(mix.pm * (d * mix.cdf(d) - mix.partial_mean(d)))) + d * mix.p0
 
 
 def ilp_local_model(aux: ILPAuxModel) -> IlpLocalGain:
@@ -621,7 +525,7 @@ def ilp_global_sample(
     return EmpiricalGainSample(draws=draws, seed=seed)
 
 
-class EmpiricalGain:
+class EmpiricalGain(StopLossGain):
     """Gain model backed by a stored Monte Carlo sample.
 
     The same sample is reused for every ``(c1, c2)`` evaluation, so the whole
@@ -629,6 +533,8 @@ class EmpiricalGain:
     :meth:`expected_max_stderr` reports the Monte Carlo error of any single
     evaluation.
     """
+
+    local = False
 
     def __init__(self, sample: EmpiricalGainSample) -> None:
         if len(sample.draws) < 10_000:
@@ -638,22 +544,15 @@ class EmpiricalGain:
             )
         self.sample = sample
         self._draws = np.asarray(sample.draws, dtype=float)
-        self._mean = float(self._draws.mean())
         self._mean_se = float(self._draws.std(ddof=1) / math.sqrt(self._draws.size))
-
-    @property
-    def mean_gain(self) -> float:
-        return self._mean
+        super().__init__(float(self._draws.mean()))
 
     @property
     def mean_gain_stderr(self) -> float:
         return self._mean_se
 
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self._mean
-        _check_global_regime(c1, c2)
-        return float(np.mean(np.maximum(c1 + self._draws, c2)))
+    def stop_loss(self, delta: float) -> float:
+        return float(np.mean(np.maximum(self._draws - delta, 0.0)))
 
     def expected_max_stderr(self, c1: float, c2: float) -> float:
         if c2 == -math.inf:
@@ -708,25 +607,34 @@ def aux_from_config(cfg: dict) -> ILPAuxModel:
     return ILPAuxModel(aux_rate=float(_require(aux, "rate")), aux_severity=severity)
 
 
+_LDA_MODELS = {
+    ("ALP", LOCAL): alp_local_model,
+    ("ALP", GLOBAL): alp_global_model,
+    ("PAP", LOCAL): pap_local_model,
+    ("PAP", GLOBAL): pap_global_model,
+}
+
+
 def gain_model_from_config(cfg: dict):
     """Dispatch a config dict to the matching gain model.
 
-    ILP/local reads the auxiliary post-insurance process from ``cfg["aux"]``;
+    A ``"lognormal"`` or ``"gamma"`` entry selects that local reference model.
+    ILP/local reads the auxiliary post-insurance process from ``cfg["aux"]``
+    and leaves the per-loss cap ``param`` unread, since presets leave it unset;
     ILP/global draws its offline sample using ``cfg["mc"]``.
     """
-    policy = policy_from_config(cfg)
-    if policy.kind == "ALP":
-        lda = lda_from_config(cfg)
-        return alp_local_model(lda, policy.param) if policy.objective == LOCAL else (
-            alp_global_model(lda, policy.param)
-        )
-    if policy.kind == "PAP":
-        lda = lda_from_config(cfg)
-        return pap_local_model(lda, policy.param) if policy.objective == LOCAL else (
-            pap_global_model(lda, policy.param)
-        )
-    if policy.objective == LOCAL:
+    if "lognormal" in cfg:
+        ln = cfg["lognormal"]
+        return lognormal_local_model(float(ln.get("mu", 0.0)), float(ln.get("sigma", 1.0)))
+    if "gamma" in cfg:
+        gm = cfg["gamma"]
+        return gamma_local_model(float(gm["shape"]), float(gm["rate"]))
+    kind = str(_require(_require(cfg, "policy"), "kind")).upper()
+    if kind == "ILP" and str(_require(cfg, "objective")).lower() == LOCAL:
         return ilp_local_model(aux_from_config(cfg))
+    policy = policy_from_config(cfg)
+    if policy.kind != "ILP":
+        return _LDA_MODELS[(policy.kind, policy.objective)](lda_from_config(cfg), policy.param)
     mc = cfg.get("mc", {})
     sample = ilp_global_sample(
         lda_from_config(cfg),

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import _ig_cdf, _ig_transform, poisson_pmf
+from .distributions import _ig_transform
 from .policies import (
     GLOBAL,
     LOCAL,
@@ -394,8 +394,5 @@ def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:
 
 def exceedance_probability(lda: LDAModel, cap: float) -> float:
     """P[annual loss exceeds cap] from the count-conditioned IG mixture."""
-    m = np.arange(1, lda.m_max + 1)
-    pm = poisson_pmf(m, lda.frequency)
-    return float(
-        np.sum(pm * (1.0 - _ig_cdf(cap, m * lda.severity.mu, m * m * lda.severity.lam)))
-    )
+    mix = lda.mixture()
+    return float(np.sum(mix.pm * (1.0 - mix.cdf(cap))))

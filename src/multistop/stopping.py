@@ -2,8 +2,9 @@
 
 The engine is generic over a :class:`GainModel`: any object exposing the
 annual gain mean ``E[W]`` and the expectation ``E[max{c1 + W, c2}]``.  The
-value ``v[L, l]`` of holding ``l`` claim rights with ``L`` years remaining
-satisfies
+built-in models derive that expectation from a stop-loss transform through
+:class:`StopLossGain`.  The value ``v[L, l]`` of holding ``l`` claim rights
+with ``L`` years remaining satisfies
 
 * ``v[1, 1] = E[W]``,
 * ``v[L, 1] = E[max{W, v[L-1, 1]}]``,
@@ -23,7 +24,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy.special import ndtr
@@ -33,14 +34,63 @@ from .distributions import NumericalError
 
 @runtime_checkable
 class GainModel(Protocol):
-    """Contract every policy model implements for the value recursion."""
+    """Contract every gain model meets for the value recursion.
 
-    @property
-    def mean_gain(self) -> float: ...
+    ``mean_gain`` is ``E[W]`` for the model's annual gain ``W``, and
+    ``expected_max(c1, c2)`` is ``E[max{c1 + W, c2}]``.
+    """
+
+    mean_gain: float
+    expected_max: Callable[[float, float], float]
+
+
+class StopLossGain:
+    """Gain model of one sign, evaluated through its stop-loss transform.
+
+    For any thresholds, ``E[max{c1 + W, c2}] = c2 + E[(W - delta)+]`` with
+    ``delta = c2 - c1``.  A subclass declares its support through ``local``
+    (``W <= 0``; otherwise ``W >= 0``), passes its mean ``E[W]`` to
+    ``__init__`` and implements :meth:`stop_loss` on the side of ``delta``
+    where it is not a support fact: ``delta < 0`` for a local gain,
+    ``delta > 0`` for a global one.  This class owns the rest of the
+    contract, once for every model:
+
+    * ``c2 = -inf`` (a forced claim) gives ``c1 + E[W]``;
+    * the value recursion only asks for ``c2 <= c1 <= 0`` (local) or
+      ``0 <= c1 <= c2`` (global); other thresholds raise ``ValueError``;
+    * on the trivial side the stop-loss term is exact: 0 for a local gain
+      with ``delta >= 0``, ``E[W] - delta`` for a global gain with
+      ``delta <= 0``;
+    * a mean of the wrong sign for the support is roundoff and becomes 0,
+      and the result is kept inside ``[max(c1 + E W, c2), max(c1, c2) +
+      max(E W, 0)]``, which holds for every gain of that sign.  The
+      recursion forms the same sums on its diagonal, so roundoff in a
+      model can never push a later cell out of the regime.
+    """
+
+    local = True
+
+    def __init__(self, mean: float) -> None:
+        self.mean_gain = min(mean, 0.0) if self.local else max(mean, 0.0)
+
+    def stop_loss(self, delta: float) -> float:
+        """``E[(W - delta)+]`` on the non-trivial side of ``delta``."""
+        raise NotImplementedError
 
     def expected_max(self, c1: float, c2: float) -> float:
-        """``E[max{c1 + W, c2}]`` for the model's annual gain ``W``."""
-        ...
+        mean = self.mean_gain
+        if c2 == -math.inf:
+            return c1 + mean
+        delta = c2 - c1
+        if self.local:
+            if c1 > 0 or c2 > c1:
+                raise ValueError(f"local-objective model needs c2 <= c1 <= 0, got ({c1}, {c2})")
+            excess = self.stop_loss(delta) if delta < 0 else 0.0
+        else:
+            if c1 < 0 or c2 < c1:
+                raise ValueError(f"global-objective model needs 0 <= c1 <= c2, got ({c1}, {c2})")
+            excess = self.stop_loss(delta) if delta > 0 else mean - delta
+        return min(max(c2 + excess, c1 + mean, c2), max(c1, c2) + max(mean, 0.0))
 
 
 @dataclass(frozen=True)
@@ -188,12 +238,12 @@ def run_rule(gains: Sequence[float], table: ValueTable) -> StoppingResult:
     return StoppingResult(taus=tuple(taus), realized_gain=realized)
 
 
-class LogNormalLocalGain:
+class LogNormalLocalGain(StopLossGain):
     """Reference gain model: insured annual loss is LogNormal, gain W = -loss.
 
-    Both contract quantities are elementary: ``E[W] = -exp(mu + sigma^2/2)``
-    and ``E[max{c1 - Z, c2}]`` splits at ``Z = c1 - c2`` into a truncated
-    lognormal mean plus CDF terms.
+    ``E[W] = -exp(mu + sigma^2/2)``, and the stop-loss transform at
+    ``delta = -d`` is ``d P[Z <= d] - E[Z; Z <= d]``: a lognormal CDF and a
+    truncated lognormal mean.
     """
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0) -> None:
@@ -202,28 +252,12 @@ class LogNormalLocalGain:
         self.mu = mu
         self.sigma = sigma
         self._ez = math.exp(mu + 0.5 * sigma * sigma)
+        super().__init__(-self._ez)
 
-    @property
-    def mean_gain(self) -> float:
-        return -self._ez
-
-    def _cdf(self, d: float) -> float:
-        if d <= 0.0:
-            return 0.0
-        return float(ndtr((math.log(d) - self.mu) / self.sigma))
-
-    def _partial_mean(self, d: float) -> float:
-        """``E[Z; Z <= d]`` for the lognormal loss Z."""
-        if d <= 0.0:
-            return 0.0
-        return self._ez * float(ndtr((math.log(d) - self.mu - self.sigma**2) / self.sigma))
-
-    def expected_max(self, c1: float, c2: float) -> float:
-        if c2 == -math.inf:
-            return c1 + self.mean_gain
-        d = c1 - c2  # claim region: loss <= c1 - c2
-        f = self._cdf(d)
-        return c1 * f - self._partial_mean(d) + c2 * (1.0 - f)
+    def stop_loss(self, delta: float) -> float:
+        d = -delta
+        z = (math.log(d) - self.mu) / self.sigma
+        return d * float(ndtr(z)) - self._ez * float(ndtr(z - self.sigma))
 
 
 def lognormal_local_model(mu: float, sigma: float) -> LogNormalLocalGain:

@@ -24,6 +24,7 @@ from .distributions import (
     ig_partial_expectation,
     ig_pdf,
     ig_sum_params,
+    _ig_pdf,
 )
 from .policies import (
     LDAModel,
@@ -133,43 +134,34 @@ def run_validation_suite() -> list[Check]:
 
 
 def _normalization_error(lda: LDAModel, cap: float, attachment: float) -> float:
-    from .distributions import _ig_cdf, _ig_pdf, poisson_pmf
-
     errs = []
-    m = np.arange(1, lda.m_max + 1)
-    pm = poisson_pmf(m, lda.frequency)
-    p0 = float(poisson_pmf(0, lda.frequency))
-    mu, lam = lda.severity.mu, lda.severity.lam
+    mix = lda.mixture()
+    branches = list(zip(mix.pm, mix.m_mu, mix.beta))  # (P[N = m], m mu, m^2 lam)
 
     # ALP local: atom at zero + conditional excess branches
     alp = alp_local_model(lda, cap)
     cont = 0.0
-    for mm in m:
+    for p, m_mu, beta in branches:
         val, _ = integrate.quad(
-            lambda z, mm=mm: float(_ig_pdf(z + cap, mm * mu, mm * mm * lam)),
-            0.0,
-            np.inf,
-            limit=200,
+            lambda z: float(_ig_pdf(z + cap, m_mu, beta)), 0.0, np.inf, limit=200
         )
-        cont += pm[mm - 1] * val
+        cont += p * val
     errs.append(abs(alp.weights.c0 + cont - 1.0))
     errs.append(abs(alp.weights.c0 + float(np.sum(alp.weights.cm)) - 1.0))
 
     # ALP global: atoms at 0 and at the cap + continuous body below the cap
     body = 0.0
-    for mm in m:
-        val, _ = integrate.quad(
-            lambda w_, mm=mm: float(_ig_pdf(w_, mm * mu, mm * mm * lam)), 0.0, cap, limit=200
-        )
-        body += pm[mm - 1] * val
-    atom_cap = float(np.sum(pm * (1.0 - _ig_cdf(cap, m * mu, m * m * lam))))
-    errs.append(abs(p0 + atom_cap + body - 1.0))
+    for p, m_mu, beta in branches:
+        val, _ = integrate.quad(lambda w_: float(_ig_pdf(w_, m_mu, beta)), 0.0, cap, limit=200)
+        body += p * val
+    atom_cap = float(np.sum(mix.pm * (1.0 - mix.cdf(cap))))
+    errs.append(abs(mix.p0 + atom_cap + body - 1.0))
 
     # PAP: the conditioning weights partition each count's probability, and
     # the models' quadrature grids must reproduce the complementary masses.
     weights = pap_weights(lda, attachment)
     per_m = weights.dmm.sum(axis=0) + weights.dm
-    errs.append(float(np.max(np.abs(per_m - pm))))
+    errs.append(float(np.max(np.abs(per_m - mix.pm))))
     errs.append(abs(pap_local_model(lda, attachment).total_mass() - 1.0))
     pap_g = pap_global_model(lda, attachment)
     errs.append(abs(pap_g.prob_zero_gain + pap_g.continuous_mass() - 1.0))

@@ -95,6 +95,17 @@ def test_value_table_ilp_local_config(tmp_path, capsys):
     assert cells[(1, 1)] == pytest.approx(-4.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("flag", ["--horizon-T", "--horizon-k"])
+def test_value_table_zero_horizon_is_a_config_error(tmp_path, capsys, flag):
+    # 0 is a given value, not "use the preset's horizon"
+    code = main(["value-table", "--preset", "lognormal", flag, "0", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(err.strip())["error"]["type"] == "config"
+    assert "value table" not in out
+    assert not (tmp_path / "table.csv").exists()
+
+
 # ---------------------------------------------------------------- advise
 
 

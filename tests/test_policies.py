@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc_oracles import (
@@ -15,6 +15,14 @@ from mc_oracles import (
     pap_paths,
 )
 from multistop.distributions import FrequencyModel, IGParams, ig_cdf, ig_sum_params
+from multistop.expansion import (
+    MomentSet,
+    compound_poisson_loss_moments,
+    expansion_local_gain_model,
+    fit_expansion,
+    gamma_local_model,
+    lognormal_raw_moments,
+)
 from multistop.policies import (
     ConfigError,
     EmpiricalGainSample,
@@ -34,6 +42,7 @@ from multistop.policies import (
     pap_weights,
     policy_from_config,
 )
+from multistop.stopping import Horizon, compute_value_table, lognormal_local_model, thresholds
 
 ALP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
 PAP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=1.0, lam=1.0))
@@ -326,32 +335,75 @@ def test_empirical_sample_validation():
 # ------------------------------------------------------------ gain contract
 
 
-@given(
-    st.floats(min_value=0.0, max_value=3.0),
-    st.floats(min_value=0.0, max_value=4.0),
-    st.floats(min_value=0.0, max_value=1.5),
-)
-def test_local_gain_contract_properties(q1, gap, bump):
-    model = alp_local_model(ALP_LDA, 10.0)
-    c1, c2 = -q1, -(q1 + gap)
-    val = model.expected_max(c1, c2)
-    assert val >= max(c1 + model.mean_gain, c2) - 1e-9
-    assert model.expected_max(min(c1 + bump, 0.0), c2) >= val - 1e-9
-    assert model.expected_max(c1, min(c2 + bump, c1)) >= val - 1e-9
+def _expansion_model():
+    raw = lognormal_raw_moments(1.0, math.sqrt(0.8))
+    moments = MomentSet.from_loss_moments(*compound_poisson_loss_moments(2.0, raw))
+    return expansion_local_gain_model(fit_expansion(moments))
 
 
-@given(
-    st.floats(min_value=0.0, max_value=6.0),
-    st.floats(min_value=0.0, max_value=8.0),
-    st.floats(min_value=0.0, max_value=3.0),
-)
-def test_global_gain_contract_properties(c1, gap, bump):
-    model = alp_global_model(ALP_LDA, 10.0)
-    c2 = c1 + gap
-    val = model.expected_max(c1, c2)
-    assert val >= max(c1 + model.mean_gain, c2) - 1e-9
-    assert model.expected_max(c1 + bump, c2 + bump) >= val - 1e-9
-    assert model.expected_max(c1, c2 + bump) >= val - 1e-9
+def _ilp_global_model():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a small sample keeps the test fast
+        return ilp_global_model(ilp_global_sample(ALP_LDA, 1.5, 5_000, 11))
+
+
+# every built-in gain model
+LOCAL_MODELS = {
+    "alp": lambda: alp_local_model(ALP_LDA, 10.0),
+    "pap": lambda: pap_local_model(PAP_LDA, 4.0),
+    "ilp": lambda: ilp_local_model(AUX),
+    "lognormal": lambda: lognormal_local_model(0.0, 1.0),
+    "gamma": lambda: gamma_local_model(2.0, 0.5),
+    "expansion": _expansion_model,
+}
+GLOBAL_MODELS = {
+    "alp": lambda: alp_global_model(ALP_LDA, 10.0),
+    "pap": lambda: pap_global_model(PAP_LDA, 4.0),
+    "ilp": _ilp_global_model,
+}
+
+
+def _run_property(prop, slow: bool) -> None:
+    # a PAP-global call takes about 15 ms, so that model gets fewer examples
+    (settings(max_examples=12)(prop) if slow else prop)()
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_MODELS))
+def test_local_gain_contract_properties(name):
+    model = LOCAL_MODELS[name]()
+
+    @given(
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=0.0, max_value=4.0),
+        st.floats(min_value=0.0, max_value=1.5),
+    )
+    def prop(q1, gap, bump):
+        c1, c2 = -q1, -(q1 + gap)
+        val = model.expected_max(c1, c2)
+        assert val >= max(c1 + model.mean_gain, c2) - 1e-9
+        assert model.expected_max(min(c1 + bump, 0.0), c2) >= val - 1e-9
+        assert model.expected_max(c1, min(c2 + bump, c1)) >= val - 1e-9
+
+    _run_property(prop, slow=False)
+
+
+@pytest.mark.parametrize("name", sorted(GLOBAL_MODELS))
+def test_global_gain_contract_properties(name):
+    model = GLOBAL_MODELS[name]()
+
+    @given(
+        st.floats(min_value=0.0, max_value=6.0),
+        st.floats(min_value=0.0, max_value=8.0),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    def prop(c1, gap, bump):
+        c2 = c1 + gap
+        val = model.expected_max(c1, c2)
+        assert val >= max(c1 + model.mean_gain, c2) - 1e-9
+        assert model.expected_max(c1 + bump, c2 + bump) >= val - 1e-9
+        assert model.expected_max(c1, c2 + bump) >= val - 1e-9
+
+    _run_property(prop, slow=name == "pap")
 
 
 # ---------------------------------------------------------------- consistency
@@ -366,6 +418,35 @@ def test_ilp_local_global_split_recovers_total_mean(rng):
     w = ilp_global_sample(lda, tcl, n, seed=123).draws
     se = math.sqrt(zt.var() / n + w.var() / n)
     assert abs(zt.mean() + w.mean() - lda.mean_annual_loss) <= 3 * se
+
+
+@pytest.mark.parametrize(
+    "kind,objective,rate,severity,param",
+    [
+        ("ALP", "local", 3.0, IGParams(mu=0.5, lam=0.3), 75.0),
+        ("ALP", "local", 3.0, IGParams(mu=2.0, lam=300.0), 30.0),
+        ("PAP", "global", 30.0, IGParams(mu=2.0, lam=0.3), 3000.0),
+    ],
+    ids=["alp-local-tiny-excess", "alp-local-huge-shape", "pap-global-huge-attachment"],
+)
+def test_extreme_contracts_give_valid_tables(kind, objective, rate, severity, param):
+    # well-posed contracts whose mean gain is roundoff around 0: once the
+    # sign of that roundoff tripped the regime check mid-table
+    lda = LDAModel(FrequencyModel(rate=rate), severity)
+    builders = {
+        "ALP": (alp_local_model, alp_global_model),
+        "PAP": (pap_local_model, pap_global_model),
+    }
+    local, glob = (build(lda, param) for build in builders[kind])
+    table = compute_value_table(local if objective == "local" else glob, Horizon(T=8, k=3))
+    for l in range(1, 4):
+        column = np.array([table.value(L, l) for L in range(l, 9)])
+        assert np.all(np.isfinite(column))
+        assert np.all(np.diff(column) >= 0.0)  # monotone in L
+    b = thresholds(table)
+    b = b[np.isfinite(b)]
+    assert np.all(b <= 0.0) if objective == "local" else np.all(b >= 0.0)
+    assert glob.mean_gain - local.mean_gain == pytest.approx(lda.mean_annual_loss, rel=1e-9)
 
 
 # ---------------------------------------------------------------- config

@@ -11,6 +11,7 @@ from multistop.stopping import (
     Decision,
     Horizon,
     StoppingState,
+    StopLossGain,
     ValueTable,
     compute_value_table,
     decide,
@@ -245,6 +246,26 @@ def test_expected_max_contract_properties(c1, d2, bump):
     # nondecreasing in each argument (stay inside the local sign regime)
     assert model.expected_max(min(c1 + bump, 0.0), c2) >= val - 1e-12
     assert model.expected_max(c1, min(c2 + bump, c1)) >= val - 1e-12
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_stop_loss_base_absorbs_roundoff(local):
+    class ZeroGain(StopLossGain):
+        """W = 0, reported with roundoff in its mean and its stop-loss term."""
+
+        def stop_loss(self, delta):
+            return max(-delta, 0.0) + 1e-20
+
+    ZeroGain.local = local
+    model = ZeroGain(3.4e-25 if local else -3.4e-25)  # the wrong sign for W
+    assert model.mean_gain == 0.0
+    assert model.expected_max(-1.0 if local else 1.0, -2.0 if local else 2.0) == (
+        -1.0 if local else 2.0
+    )
+    table = compute_value_table(model, Horizon(T=6, k=3))
+    assert all(table.value(L, l) == 0.0 for L in range(1, 7) for l in range(1, min(L, 3) + 1))
+    with pytest.raises(ValueError):
+        model.expected_max(-1.0, -0.5) if local else model.expected_max(2.0, 1.0)
 
 
 # ------------------------------------------------- exhaustive scenario oracle
