@@ -35,6 +35,7 @@ from .stopping import (
     ValueTable,
     compute_value_table,
     decide,
+    thresholds,
 )
 
 VALUE_TABLE_PRESETS = {
@@ -48,13 +49,11 @@ VALUE_TABLE_PRESETS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved invocation: model config plus horizon, output, and seed."""
+    """Resolved invocation: model config plus horizon and output directory."""
 
     model: dict
     horizon: Horizon
     out_dir: str | None
-    seed: int | None
-    preset: str | None
 
 
 def _emit_error(code: int, kind: str, message: str) -> None:
@@ -89,13 +88,7 @@ def _resolve_model_config(args) -> dict:
 
 def resolve_run_config(args) -> RunConfig:
     cfg = _resolve_model_config(args)
-    return RunConfig(
-        model=cfg,
-        horizon=_horizon(cfg),
-        out_dir=args.out,
-        seed=args.seed,
-        preset=args.preset,
-    )
+    return RunConfig(model=cfg, horizon=_horizon(cfg), out_dir=args.out)
 
 
 def _horizon(cfg: dict) -> Horizon:
@@ -108,15 +101,13 @@ def _horizon(cfg: dict) -> Horizon:
 def _write_thresholds_csv(table: ValueTable, path: str) -> None:
     import csv as _csv
 
+    b = thresholds(table)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["year"] + [f"right_{i}" for i in range(1, table.k + 1)])
         for year in range(1, table.T + 1):
-            row: list[object] = [year]
-            for i in range(1, table.k + 1):
-                b = table.threshold(table.T - year, i)
-                row.append("-inf" if math.isinf(b) else f"{b:.6f}")
-            writer.writerow(row)
+            row = b[table.T - year].tolist()
+            writer.writerow([year] + ["-inf" if math.isinf(x) else f"{x:.6f}" for x in row])
 
 
 def cmd_value_table(args) -> int:

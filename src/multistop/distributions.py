@@ -181,7 +181,9 @@ def _gig_half_cdf(x, alpha, beta):
     inf = np.isinf(x) & (x > 0)
     out[inf] = 1.0
     pos = (x > 0) & ~inf
-    out[pos] = 1.0 - _ig_cdf(1.0 / x[pos], np.sqrt(alpha[pos] / beta[pos]), alpha[pos])
+    with np.errstate(over="ignore"):  # subnormal x: 1/x is +inf, where the IG CDF is 1
+        recip = 1.0 / x[pos]
+    out[pos] = 1.0 - _ig_cdf(recip, np.sqrt(alpha[pos] / beta[pos]), alpha[pos])
     return out
 
 

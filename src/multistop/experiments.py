@@ -78,8 +78,7 @@ def preset_config(name: str) -> dict:
     return deepcopy(EXPERIMENT_PRESETS[name])
 
 
-def _batch_for(cfg: dict, objective: str, n_scenarios: int, seed: int) -> ScenarioBatch:
-    kind = cfg["policy"]["kind"]
+def _batch_for(cfg: dict, kind: str, objective: str, n_scenarios: int, seed: int) -> ScenarioBatch:
     T = int(cfg["horizon"]["T"])
     if kind == "ILP":
         return simulate_aux_local_batch(aux_from_config(cfg), T, n_scenarios, seed)
@@ -102,7 +101,7 @@ def run_experiment(
         raise ConfigError(f"a study needs at least 2 scenarios for its standard errors, got {n_sim}")
     run_seed = int(seed if seed is not None else cfg["mc"]["seed"])
     det_years = cfg.get("deterministic_years", [1, horizon.T // 2 + 1, horizon.T])
-    kind = cfg["policy"]["kind"]
+    kind = str(cfg["policy"]["kind"]).upper()
     lda = lda_from_config(cfg) if kind != "ILP" else None
 
     report: dict = {
@@ -121,7 +120,7 @@ def run_experiment(
         table = compute_value_table(model, horizon)
         # one (Z, Zt) panel per study: the objectives share its seed
         if batch is None:
-            batch = _batch_for(cfg, objective, n_sim, run_seed)
+            batch = _batch_for(cfg, kind, objective, n_sim, run_seed)
         elif kind != "ILP":  # the ILP aux batch is local whatever the objective
             batch = batch.with_objective(objective)
         rules = default_rules(det_years)

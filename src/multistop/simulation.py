@@ -43,7 +43,7 @@ from .policies import (
     Objective,
     PolicySpec,
 )
-from .stopping import ValueTable, thresholds
+from .stopping import ValueTable, claim_years, thresholds
 
 _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario streams
 # Scenarios per block of the simulation kernel.  Every scenario keeps its own
@@ -220,27 +220,6 @@ def default_rules(deterministic_years: Sequence[int]) -> list[ComparisonRule]:
     ]
 
 
-def _threshold_walk(w: np.ndarray, threshold_of_state, k: int) -> np.ndarray:
-    """Year-by-year claim walk, vectorized across paths.
-
-    ``threshold_of_state(year, used)`` maps the per-path rights-used vector to
-    claim triggers; claims are forced once remaining years equal remaining
-    rights, and paths stop claiming after the k-th right.
-    """
-    n, T = w.shape
-    used = np.zeros(n, dtype=int)
-    taus = np.zeros((n, k), dtype=int)
-    for year in range(1, T + 1):
-        active = used < k
-        thr = threshold_of_state(year, used)
-        forced = (T - year + 1) <= (k - used)
-        claim = active & (forced | (w[:, year - 1] >= thr))
-        rows = np.nonzero(claim)[0]
-        taus[rows, used[rows]] = year
-        used[rows] += 1
-    return taus
-
-
 def rule_claim_years(
     batch: ScenarioBatch, table: ValueTable, rule: ComparisonRule
 ) -> np.ndarray:
@@ -248,13 +227,7 @@ def rule_claim_years(
     k, T = table.k, table.T
     m = batch.n_scenarios
     if rule.kind == "optimal":
-        bmat = thresholds(table)  # bmat[L, i-1], forced states already -inf
-
-        def optimal_thr(year: int, used: np.ndarray) -> np.ndarray:
-            left = T - year
-            return bmat[left, np.clip(used, 0, k - 1)]
-
-        return _threshold_walk(batch.w, optimal_thr, k)
+        return claim_years(batch.w, thresholds(table))
     if rule.kind == "deterministic":
         years = np.asarray(rule.years, dtype=int)
         if years.size != k or years[-1] > T or years[0] < 1:
@@ -264,12 +237,9 @@ def rule_claim_years(
         rng = np.random.default_rng(np.random.SeedSequence([batch.seed, _RULE_STREAM_TAG]))
         order = np.argsort(rng.random((m, T)), axis=1)[:, :k]
         return np.sort(order + 1, axis=1)
-    mean_gain = table.value(1, 1)  # E[W]
-
-    def average_thr(year: int, used: np.ndarray) -> np.ndarray:
-        return np.full(m, mean_gain)
-
-    return _threshold_walk(batch.w, average_thr, k)
+    # average: claim once the gain reaches E[W], and wherever a claim is forced
+    b = thresholds(table)
+    return claim_years(batch.w, np.where(np.isneginf(b), -np.inf, table.value(1, 1)))
 
 
 def objective_values(batch: ScenarioBatch, taus: np.ndarray) -> np.ndarray:

@@ -126,16 +126,14 @@ class ValueTable:
     def threshold(self, L: int, i: int) -> float:
         """Claim trigger for the ``i``-th right with ``L`` years still ahead.
 
-        ``-inf`` on the forced boundary (L <= k - i): the right must be used.
+        The cell ``[L, i - 1]`` of :func:`thresholds`: ``-inf`` on the forced
+        boundary (L <= k - i), where the right must be used.
         """
         if not (1 <= i <= self.k):
             raise ValueError(f"right index must be in 1..{self.k}, got {i}")
-        stops_after = self.k - i  # rights left after using this one
-        if L <= stops_after:
-            return -math.inf
-        upper = self.values[L, stops_after + 1]
-        lower = self.values[L, stops_after] if stops_after >= 1 else 0.0
-        return float(upper - lower)
+        if not (0 <= L < self.T):
+            raise ValueError(f"years left must be in 0..{self.T - 1}, got {L}")
+        return float(thresholds(self)[L, i - 1])
 
     @property
     def game_value(self) -> float:
@@ -175,12 +173,36 @@ def compute_value_table(model: GainModel, horizon: Horizon) -> ValueTable:
 
 
 def thresholds(table: ValueTable) -> np.ndarray:
-    """Threshold matrix ``b[L, i]`` for L = 0..T-1 (rows) and i = 1..k (cols)."""
-    out = np.empty((table.T, table.k))
-    for L in range(0, table.T):
-        for i in range(1, table.k + 1):
-            out[L, i - 1] = table.threshold(L, i)
-    return out
+    """Trigger matrix ``b[L, i-1]`` for L = 0..T-1 (rows) and i = 1..k (cols).
+
+    ``b[L, i-1] = v[L, k-i+1] - v[L, k-i]`` with ``v[., 0] = 0``.  The upper
+    cell is undefined exactly on the forced boundary ``L <= k - i``, and
+    there the trigger is ``-inf``.
+    """
+    T, k = table.T, table.k
+    v = table.values[:T].copy()
+    v[:, 0] = 0.0
+    L, i = np.ogrid[:T, 1 : k + 1]
+    return np.where(L <= k - i, -np.inf, np.diff(v, axis=1)[:, ::-1])
+
+
+def claim_years(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, k) claim years of the trigger rule ``b`` on the (n, T) gain paths ``w``.
+
+    In year ``y`` a path that has used ``u < k`` rights claims iff
+    ``w[:, y-1] >= b[T-y, u]`` (ties claim).  ``-inf`` triggers make the
+    forced claims, so every path uses all ``k`` rights.
+    """
+    n, T = w.shape
+    k = b.shape[1]
+    used = np.zeros(n, dtype=int)
+    taus = np.zeros((n, k), dtype=int)
+    for year in range(1, T + 1):
+        claim = (used < k) & (w[:, year - 1] >= b[T - year, np.minimum(used, k - 1)])
+        rows = np.nonzero(claim)[0]
+        taus[rows, used[rows]] = year
+        used[rows] += 1
+    return taus
 
 
 @dataclass(frozen=True)
@@ -223,17 +245,12 @@ class StoppingResult:
 
 def run_rule(gains: Sequence[float], table: ValueTable) -> StoppingResult:
     """Apply the threshold rule year by year along one gain path."""
-    T, k = table.T, table.k
-    if len(gains) != T:
-        raise ValueError(f"need {T} annual gains, got {len(gains)}")
-    horizon = Horizon(T=T, k=k)
-    taus: list[int] = []
-    for year in range(1, T + 1):
-        if len(taus) == k:
-            break
-        state = StoppingState(year=year, rights_used=len(taus), horizon=horizon, table=table)
-        if decide(state, float(gains[year - 1])) is Decision.CLAIM:
-            taus.append(year)
+    if len(gains) != table.T:
+        raise ValueError(f"need {table.T} annual gains, got {len(gains)}")
+    path = np.asarray(gains, dtype=float)[None, :]
+    if np.isnan(path).any():  # a NaN compares below every trigger, even a forced one
+        raise ValueError("annual gains must not be NaN")
+    taus = claim_years(path, thresholds(table))[0].tolist()
     realized = float(sum(gains[t - 1] for t in taus))
     return StoppingResult(taus=tuple(taus), realized_gain=realized)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from multistop.distributions import (
     IGParams,
     NumericalError,
     QuadratureSpec,
+    _gig_half_cdf,
     bessel_k,
     gig_cdf,
     gig_pdf,
@@ -212,6 +214,15 @@ def test_ig_partial_expectation_values():
         lambda u: u * ig_pdf(u, unit), 0.0, 4.0, epsabs=1e-12, limit=300
     )
     assert ig_partial_expectation(4.0, 1, unit) == pytest.approx(direct, abs=1e-9)
+
+
+def test_gig_half_cdf_is_zero_at_subnormal_x_without_warnings():
+    # 1/x overflows for these x; the CDF there is 0 and no warning may leak
+    x = np.array([1e-310, 5e-324, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_gig_half_cdf(x, 2.0, 3.0), np.zeros(3))
+        assert ig_partial_expectation(1e-310, 2, IGParams(mu=1.0, lam=1.0)) == 0.0
 
 
 # ---------------------------------------------------------------- Poisson

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from multistop.simulation import (
     simulate_batch,
     stopping_time_distribution,
 )
-from multistop.stopping import Horizon, compute_value_table
+from multistop.stopping import Decision, Horizon, StoppingState, compute_value_table, decide
 from sim_reference import reference_simulate_aux_local_batch, reference_simulate_batch
 
 LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
@@ -145,6 +146,15 @@ def test_run_experiment_second_objective_matches_its_own_simulation():
     assert {out.name: out.mean for out in rr.outcomes} == {name: v["mean"] for name, v in got.items()}
 
 
+@pytest.mark.parametrize("preset", ["pap-study", "ilp-study"])
+def test_run_experiment_accepts_a_lowercase_policy_kind(preset):
+    upper = preset_config(preset)
+    lower = preset_config(preset)
+    lower["policy"]["kind"] = upper["policy"]["kind"].lower()
+    expected = run_experiment(upper, seed=5, n_scenarios=200)
+    assert json.dumps(run_experiment(lower, seed=5, n_scenarios=200)) == json.dumps(expected)
+
+
 # ---------------------------------------------------------------- rules
 
 
@@ -193,6 +203,31 @@ def test_average_rule_matches_manual_walk(small_batch, global_table):
                 expected.append(year)
                 used += 1
         assert list(taus[row]) == expected
+
+
+def _scalar_optimal_walk(gains, table):
+    """Claim years of one path, one ``StoppingState`` and ``decide`` per year."""
+    horizon = Horizon(T=table.T, k=table.k)
+    taus = []
+    for year in range(1, table.T + 1):
+        if len(taus) == table.k:
+            break
+        state = StoppingState(year=year, rights_used=len(taus), horizon=horizon, table=table)
+        if decide(state, float(gains[year - 1])) is Decision.CLAIM:
+            taus.append(year)
+    return taus
+
+
+@pytest.mark.parametrize("objective", [GLOBAL, LOCAL])
+@pytest.mark.parametrize("T, k, n", [(8, 3, 2000), (40, 12, 300)])
+def test_optimal_rule_matches_online_decisions(objective, T, k, n):
+    model = {GLOBAL: alp_global_model, LOCAL: alp_local_model}[objective](LDA, 10.0)
+    table = compute_value_table(model, Horizon(T=T, k=k))
+    policy = PolicySpec(kind="ALP", param=10.0, objective=objective)
+    batch = simulate_batch(LDA, policy, T, n, seed=41)
+    taus = rule_claim_years(batch, table, ComparisonRule("optimal"))
+    for row in range(n):
+        assert list(taus[row]) == _scalar_optimal_walk(batch.w[row], table)
 
 
 def test_rules_validation(small_batch, global_table):

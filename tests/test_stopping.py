@@ -163,6 +163,29 @@ def test_thresholds_matrix_shape(ln_table_t7):
     assert mat[6, 3] == ln_table_t7.value(6, 1)
 
 
+@pytest.mark.parametrize("T, k", [(7, 4), (10, 9), (40, 12)])
+def test_thresholds_matrix_equals_cellwise_threshold(T, k):
+    table = compute_value_table(lognormal_local_model(0.0, 1.0), Horizon(T=T, k=k))
+    mat = thresholds(table)
+    assert mat.shape == (T, k)
+    v = table.values
+    for L in range(T):
+        for i in range(1, k + 1):
+            rights_after = k - i
+            if L <= rights_after:
+                expected = -math.inf
+            else:
+                expected = v[L, rights_after + 1] - (v[L, rights_after] if rights_after else 0.0)
+            assert mat[L, i - 1] == table.threshold(L, i) == expected
+    assert np.isneginf(mat).sum() == k * (k + 1) // 2
+
+
+def test_threshold_rejects_years_left_outside_the_matrix(ln_table_t7):
+    for L in (-1, 7):
+        with pytest.raises(ValueError):
+            ln_table_t7.threshold(L, 1)
+
+
 # ---------------------------------------------------------------- decisions
 
 
@@ -209,6 +232,11 @@ def test_single_stop_takes_early_maximum():
 def test_run_rule_length_validation(ln_table_t7):
     with pytest.raises(ValueError):
         run_rule([0.0] * 6, ln_table_t7)
+
+
+def test_run_rule_rejects_nan_gains(ln_table_t7):
+    with pytest.raises(ValueError):
+        run_rule([0.0] * 6 + [math.nan], ln_table_t7)
 
 
 @given(
