@@ -314,9 +314,13 @@ def poisson_sf(m: int, freq: FrequencyModel) -> float:
 
 
 def poisson_m_max(freq: FrequencyModel, tail: float = 1e-10) -> int:
-    """Smallest count with ``P[N > m] < tail``, floored at rate + 10 sqrt(rate)."""
+    """Smallest count with ``P[N >= m] < tail``, floored at rate + 10 sqrt(rate).
+
+    Cutting the count at ``m`` then drops less than ``tail`` of the
+    probability and, since ``E[N; N > m] = rate P[N >= m]``, of the mean.
+    """
     m = int(math.ceil(freq.rate + 10.0 * math.sqrt(freq.rate)))
-    while poisson_sf(m, freq) >= tail:
+    while poisson_sf(m - 1, freq) >= tail:
         m += 1
     return m
 

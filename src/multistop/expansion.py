@@ -331,13 +331,18 @@ def approx_expected_min(fit: ExpansionFit, c1: float, c2: float) -> float:
     mean = fit.a / fit.b
     if math.isinf(c2):
         return c1 + mean
+    return float(_expected_min(fit, c1, np.array([c2]))[0])
+
+
+def _expected_min(fit: ExpansionFit, c1: float, c2: np.ndarray) -> np.ndarray:
+    """:func:`approx_expected_min` for each finite entry of ``c2``, unchecked."""
     shapes = fit.a + np.arange(5.0)
-    x = fit.b * (c2 - c1)
+    x = fit.b * (c2 - c1)[:, None]
     f_here = gammainc(shapes, x)
     f_up = gammainc(shapes + 1.0, x)
-    partial = float(np.sum(fit.astar * shapes * f_up)) / fit.b**2
-    low = c1 * float(np.sum(fit.astar * f_here)) / fit.b
-    high = c2 * float(np.sum(fit.astar * (1.0 - f_here))) / fit.b
+    partial = np.sum(fit.astar * shapes * f_up, axis=1) / fit.b**2
+    low = c1 * np.sum(fit.astar * f_here, axis=1) / fit.b
+    high = c2 * np.sum(fit.astar * (1.0 - f_here), axis=1) / fit.b
     return partial + low + high
 
 
@@ -348,9 +353,9 @@ class ExpansionLocalGain(StopLossGain):
         self.fit = fit
         super().__init__(-fit.a / fit.b)
 
-    def stop_loss(self, delta: float) -> float:
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         # E[(d - Zt)+] = d - E[min{Zt, d}] at d = -delta
-        return -delta - approx_expected_min(self.fit, 0.0, -delta)
+        return -delta - _expected_min(self.fit, 0.0, -delta)
 
 
 def expansion_local_gain_model(fit: ExpansionFit) -> ExpansionLocalGain:
@@ -367,7 +372,7 @@ class GammaLocalGain(StopLossGain):
         self.rate = rate
         super().__init__(-shape / rate)
 
-    def stop_loss(self, delta: float) -> float:
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         # E[(d - Zt)+] = d F(d) - E[Zt; Zt <= d] at d = -delta
         d = -delta
         x = self.rate * d

@@ -64,7 +64,7 @@ class LDAModel:
     """Loss-generating law: Poisson frequency, IG severity, series truncation.
 
     ``m_max`` truncates the conditioning sums over the annual loss count; the
-    default leaves Poisson tail mass below 1e-10.
+    default drops less than 1e-10 of the count's probability and of its mean.
     """
 
     frequency: FrequencyModel
@@ -74,9 +74,9 @@ class LDAModel:
     def __post_init__(self) -> None:
         if self.m_max == 0:
             object.__setattr__(self, "m_max", poisson_m_max(self.frequency, POISSON_TAIL))
-        elif poisson_sf(self.m_max, self.frequency) >= POISSON_TAIL:
+        elif poisson_sf(self.m_max - 1, self.frequency) >= POISSON_TAIL:
             raise ConfigError(
-                f"m_max={self.m_max} leaves Poisson tail >= {POISSON_TAIL:g} "
+                f"m_max={self.m_max} leaves P[N >= m_max] >= {POISSON_TAIL:g} "
                 f"at rate {self.frequency.rate}"
             )
 
@@ -192,12 +192,13 @@ class AlpLocalGain(StopLossGain):
         excess = mix.m_mu - self._pmean_cap - cap * (1.0 - self._f_cap)
         super().__init__(-float(np.sum(mix.pm * excess)))
 
-    def stop_loss(self, delta: float) -> float:
-        # E[(d - Zt)+]: d on the atom, (cap + d - Z) on cap < Z <= cap + d
-        y = self.cap - delta
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
+        # E[(d - Zt)+]: d on the atom, (cap + d - Z) on cap < Z <= cap + d;
+        # one row per delta, one column per loss count
+        y = (self.cap - delta)[:, None]
         mix = self._mix
         body = y * (mix.cdf(y) - self._f_cap) - (mix.partial_mean(y) - self._pmean_cap)
-        return float(np.sum(mix.pm * body)) - delta * self.weights.c0
+        return np.sum(mix.pm * body, axis=1) - delta * self.weights.c0
 
 
 class AlpGlobalGain(StopLossGain):
@@ -219,17 +220,16 @@ class AlpGlobalGain(StopLossGain):
         self._pmean_cap = mix.partial_mean(cap)
         super().__init__(float(np.sum(mix.pm * (cap * (1.0 - self._f_cap) + self._pmean_cap))))
 
-    def stop_loss(self, delta: float) -> float:
-        if delta >= self.cap:
-            return 0.0  # the gain never exceeds the cap
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         mix = self._mix
-        f_d = mix.cdf(delta)
+        d = delta[:, None]
         body = (
-            (self.cap - delta) * (1.0 - self._f_cap)
-            + (self._pmean_cap - mix.partial_mean(delta))
-            - delta * (self._f_cap - f_d)
+            (self.cap - d) * (1.0 - self._f_cap)
+            + (self._pmean_cap - mix.partial_mean(d))
+            - d * (self._f_cap - mix.cdf(d))
         )
-        return float(np.sum(mix.pm * body))
+        # the gain never exceeds the cap
+        return np.where(delta >= self.cap, 0.0, np.sum(mix.pm * body, axis=1))
 
 
 def alp_local_model(lda: LDAModel, cap: float) -> AlpLocalGain:
@@ -338,15 +338,16 @@ class PapLocalGain(StopLossGain):
         mean_never = float(np.sum(mix.pm * mix.partial_mean(attachment)))
         super().__init__(-(mean_cross + mean_never))
 
-    def stop_loss(self, delta: float) -> float:
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         # E[(d - Zt)+] over the atom, the never-crossing sums (all below the
         # attachment) and the crossing branch's retained sums at the nodes
         d = -delta
+        dd = d[:, None]
         mix = self._mix
-        below = min(d, self.attachment)
-        never = np.sum(mix.pm * (d * mix.cdf(below) - mix.partial_mean(below)))
-        cross = np.sum(np.maximum(d - self._nodes, 0.0) * self._g)
-        return float(never + cross + d * self._atom)
+        below = np.minimum(dd, self.attachment)
+        never = np.sum(mix.pm * (dd * mix.cdf(below) - mix.partial_mean(below)), axis=1)
+        cross = np.sum(np.maximum(dd - self._nodes, 0.0) * self._g, axis=1)
+        return never + cross + d * self._atom
 
     def total_mass(self) -> float:
         """Atom plus quadrature mass of all branches; 1 up to grid error."""
@@ -463,11 +464,16 @@ class PapGlobalGain(StopLossGain):
         )
         return self._reduce(tail_u, tail_att)
 
-    def stop_loss(self, delta: float) -> float:
-        # E[max{W, delta}] - delta: the kernel at c1 = 0, plus the zero-gain atom
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
+        # E[max{W, d}] - d: the kernel at c1 = 0, plus the zero-gain atom.  One
+        # d at a time: a broadcast over d would multiply the kernel's (r,
+        # node, inner) temporaries by the number of d.
         att = np.array([self.attachment])
-        val = self._reduce(self._psi_max(self._u, 0.0, delta), self._psi_max(att, 0.0, delta))
-        return val + delta * (self.prob_zero_gain - 1.0)
+        return np.array([
+            self._reduce(self._psi_max(self._u, 0.0, d), self._psi_max(att, 0.0, d))
+            + d * (self.prob_zero_gain - 1.0)
+            for d in delta.tolist()
+        ])
 
 
 def pap_local_model(lda: LDAModel, attachment: float) -> PapLocalGain:
@@ -497,10 +503,11 @@ class IlpLocalGain(StopLossGain):
         self._mix = CompoundIG(freq, aux.aux_severity, poisson_m_max(freq, POISSON_TAIL))
         super().__init__(-aux.aux_rate * aux.aux_severity.mu)
 
-    def stop_loss(self, delta: float) -> float:
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         d = -delta
+        dd = d[:, None]
         mix = self._mix
-        return float(np.sum(mix.pm * (d * mix.cdf(d) - mix.partial_mean(d)))) + d * mix.p0
+        return np.sum(mix.pm * (dd * mix.cdf(dd) - mix.partial_mean(dd)), axis=1) + d * mix.p0
 
 
 def ilp_local_model(aux: ILPAuxModel) -> IlpLocalGain:
@@ -551,8 +558,10 @@ class EmpiricalGain(StopLossGain):
     def mean_gain_stderr(self) -> float:
         return self._mean_se
 
-    def stop_loss(self, delta: float) -> float:
-        return float(np.mean(np.maximum(self._draws - delta, 0.0)))
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
+        # one d at a time: a (d, draw) broadcast would hold the row length
+        # times the sample in memory
+        return np.array([np.mean(np.maximum(self._draws - d, 0.0)) for d in delta.tolist()])
 
     def expected_max_stderr(self, c1: float, c2: float) -> float:
         if c2 == -math.inf:

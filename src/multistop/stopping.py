@@ -37,7 +37,10 @@ class GainModel(Protocol):
     """Contract every gain model meets for the value recursion.
 
     ``mean_gain`` is ``E[W]`` for the model's annual gain ``W``, and
-    ``expected_max(c1, c2)`` is ``E[max{c1 + W, c2}]``.
+    ``expected_max(c1, c2)`` is ``E[max{c1 + W, c2}]``.  A model whose
+    ``expected_max`` takes only scalars is evaluated one cell at a time; a
+    model that also has a ``stop_loss`` (every :class:`StopLossGain`) takes
+    a whole row of the value table per call, as arrays.
     """
 
     mean_gain: float
@@ -50,14 +53,18 @@ class StopLossGain:
     For any thresholds, ``E[max{c1 + W, c2}] = c2 + E[(W - delta)+]`` with
     ``delta = c2 - c1``.  A subclass declares its support through ``local``
     (``W <= 0``; otherwise ``W >= 0``), passes its mean ``E[W]`` to
-    ``__init__`` and implements :meth:`stop_loss` on the side of ``delta``
-    where it is not a support fact: ``delta < 0`` for a local gain,
-    ``delta > 0`` for a global one.  This class owns the rest of the
-    contract, once for every model:
+    ``__init__`` and implements :meth:`stop_loss`, which takes a 1-D array
+    of ``delta``, all on the side where the term is not a support fact
+    (``delta < 0`` for a local gain, ``delta > 0`` for a global one), and
+    returns the array of terms.  :meth:`expected_max` takes scalars, which
+    give a Python ``float``, or arrays of one shape, which give an array of
+    that shape; it owns the rest of the contract, element by element and
+    once for every model:
 
     * ``c2 = -inf`` (a forced claim) gives ``c1 + E[W]``;
     * the value recursion only asks for ``c2 <= c1 <= 0`` (local) or
-      ``0 <= c1 <= c2`` (global); other thresholds raise ``ValueError``;
+      ``0 <= c1 <= c2`` (global); other thresholds, in any element, raise
+      ``ValueError``;
     * on the trivial side the stop-loss term is exact: 0 for a local gain
       with ``delta >= 0``, ``E[W] - delta`` for a global gain with
       ``delta <= 0``;
@@ -73,24 +80,38 @@ class StopLossGain:
     def __init__(self, mean: float) -> None:
         self.mean_gain = min(mean, 0.0) if self.local else max(mean, 0.0)
 
-    def stop_loss(self, delta: float) -> float:
-        """``E[(W - delta)+]`` on the non-trivial side of ``delta``."""
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
+        """``E[(W - delta)+]`` for each ``delta`` on the non-trivial side."""
         raise NotImplementedError
 
-    def expected_max(self, c1: float, c2: float) -> float:
+    def expected_max(self, c1, c2):
+        scalar = np.ndim(c1) == 0 and np.ndim(c2) == 0
+        c1, c2 = np.atleast_1d(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float))
+        c1, c2 = np.broadcast_arrays(c1, c2)
         mean = self.mean_gain
-        if c2 == -math.inf:
-            return c1 + mean
-        delta = c2 - c1
+        forced = c2 == -math.inf
+        delta = np.where(forced, 0.0, c2 - c1)
         if self.local:
-            if c1 > 0 or c2 > c1:
-                raise ValueError(f"local-objective model needs c2 <= c1 <= 0, got ({c1}, {c2})")
-            excess = self.stop_loss(delta) if delta < 0 else 0.0
+            regime, bad, side = "c2 <= c1 <= 0", (c1 > 0) | (c2 > c1), delta < 0
+            excess = np.zeros(delta.shape)
         else:
-            if c1 < 0 or c2 < c1:
-                raise ValueError(f"global-objective model needs 0 <= c1 <= c2, got ({c1}, {c2})")
-            excess = self.stop_loss(delta) if delta > 0 else mean - delta
-        return min(max(c2 + excess, c1 + mean, c2), max(c1, c2) + max(mean, 0.0))
+            regime, bad, side = "0 <= c1 <= c2", (c1 < 0) | (c2 < c1), delta > 0
+            excess = mean - delta
+        bad &= ~forced
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            objective = "local" if self.local else "global"
+            raise ValueError(
+                f"{objective}-objective model needs {regime}, got ({c1.flat[i]}, {c2.flat[i]})"
+            )
+        if side.any():
+            excess[side] = self.stop_loss(delta[side])
+        out = np.minimum(
+            np.maximum(np.maximum(c2 + excess, c1 + mean), c2),
+            np.maximum(c1, c2) + max(mean, 0.0),
+        )
+        out = np.where(forced, c1 + mean, out)
+        return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -152,23 +173,34 @@ class ValueTable:
 
 
 def compute_value_table(model: GainModel, horizon: Horizon) -> ValueTable:
-    """Fill the value triangle by backward recursion over (L, l)."""
+    """Fill the value triangle by backward recursion, one row ``L`` at a time.
+
+    Row ``L`` depends only on row ``L - 1``: its cells ``l = 1..n`` with
+    ``n = min(L - 1, k)`` are ``E[max{c1 + W, c2}]`` at ``c1 = [0, v[L-1,
+    1..n-1]]`` and ``c2 = v[L-1, 1..n]``, and ``v[L, L]`` is the diagonal.
+    A model with a ``stop_loss`` (a :class:`StopLossGain`) takes the row in
+    one ``expected_max`` call; any other model is called cell by cell.
+    """
     T, k = horizon.T, horizon.k
     v = np.full((T + 1, k + 1), np.nan)
     v[0, 0] = 0.0
     mean_gain = model.mean_gain
-    for l in range(1, k + 1):
-        for L in range(l, T + 1):
-            try:
-                if L == l:
-                    prev = v[l - 1, l - 1]
-                    v[L, l] = prev + mean_gain
-                elif l == 1:
-                    v[L, 1] = model.expected_max(0.0, v[L - 1, 1])
-                else:
-                    v[L, l] = model.expected_max(v[L - 1, l - 1], v[L - 1, l])
-            except Exception as exc:  # annotate with the failing cell
-                raise NumericalError(f"gain model failed at cell (L={L}, l={l}): {exc}") from exc
+    by_row = hasattr(model, "stop_loss")  # duck-typed, so forwarding proxies take rows too
+    for L in range(1, T + 1):
+        n = min(L - 1, k)
+        c1 = v[L - 1, :n].copy()
+        c1[:1] = 0.0  # v[., 0] = 0
+        c2 = v[L - 1, 1 : n + 1]
+        try:
+            if by_row:
+                v[L, 1 : n + 1] = model.expected_max(c1, c2)
+            else:
+                cells = zip(c1.tolist(), c2.tolist())
+                v[L, 1 : n + 1] = [model.expected_max(a, b) for a, b in cells]
+            if L <= k:
+                v[L, L] = v[L - 1, L - 1] + mean_gain
+        except Exception as exc:  # annotate with the failing row
+            raise NumericalError(f"gain model failed in row L={L}: {exc}") from exc
     return ValueTable(T=T, k=k, values=v)
 
 
@@ -271,10 +303,12 @@ class LogNormalLocalGain(StopLossGain):
         self._ez = math.exp(mu + 0.5 * sigma * sigma)
         super().__init__(-self._ez)
 
-    def stop_loss(self, delta: float) -> float:
+    def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         d = -delta
-        z = (math.log(d) - self.mu) / self.sigma
-        return d * float(ndtr(z)) - self._ez * float(ndtr(z - self.sigma))
+        # math.log per entry: numpy's SIMD log can differ from it by an ulp,
+        # and the table would then differ from the one of scalar calls
+        z = (np.array([math.log(x) for x in d.tolist()]) - self.mu) / self.sigma
+        return d * ndtr(z) - self._ez * ndtr(z - self.sigma)
 
 
 def lognormal_local_model(mu: float, sigma: float) -> LogNormalLocalGain:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mc_oracles import (
@@ -18,6 +18,7 @@ from multistop.distributions import FrequencyModel, IGParams, ig_cdf, ig_sum_par
 from multistop.expansion import (
     MomentSet,
     compound_poisson_loss_moments,
+    constrained_refit,
     expansion_local_gain_model,
     fit_expansion,
     gamma_local_model,
@@ -43,6 +44,7 @@ from multistop.policies import (
     policy_from_config,
 )
 from multistop.stopping import Horizon, compute_value_table, lognormal_local_model, thresholds
+from table_reference import reference_value_table
 
 ALP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
 PAP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=1.0, lam=1.0))
@@ -404,6 +406,134 @@ def test_global_gain_contract_properties(name):
         assert model.expected_max(c1, c2 + bump) >= val - 1e-9
 
     _run_property(prop, slow=name == "pap")
+
+
+# ------------------------------------------------------ row-batched recursion
+
+
+def _refit_model():
+    # out-of-region moments, projected onto the positivity boundary
+    moments = MomentSet.from_loss_moments(3.0, 4.0, 30.0, 400.0)
+    return expansion_local_gain_model(constrained_refit(moments).fit)
+
+
+def _ilp_global_1e4_model():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fewer draws than the model asks for
+        return ilp_global_model(ilp_global_sample(ALP_LDA, 5.0, 10_000, 7))
+
+
+# every built-in gain model and a horizon at which its per-cell table is cheap
+TABLE_MODELS = {
+    "alp-local": (lambda: alp_local_model(ALP_LDA, 10.0), (40, 12)),
+    "alp-global": (lambda: alp_global_model(ALP_LDA, 10.0), (40, 12)),
+    "pap-local": (lambda: pap_local_model(PAP_LDA, 4.0), (40, 12)),
+    "pap-global": (lambda: pap_global_model(PAP_LDA, 4.0), (6, 2)),
+    "ilp-local": (lambda: ilp_local_model(AUX), (40, 12)),
+    "ilp-global": (_ilp_global_1e4_model, (40, 12)),
+    "lognormal": (lambda: lognormal_local_model(0.0, 1.0), (40, 12)),
+    "gamma": (lambda: gamma_local_model(2.0, 0.5), (40, 12)),
+    "refit-expansion": (_refit_model, (40, 12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+def test_row_batched_table_equals_per_cell_recursion(name):
+    make, (T, k) = TABLE_MODELS[name]
+    model = make()
+    batched = compute_value_table(model, Horizon(T=T, k=k)).values
+    per_cell = reference_value_table(model, Horizon(T=T, k=k)).values
+    assert np.array_equal(batched, per_cell, equal_nan=True)
+
+
+@pytest.mark.parametrize("local", [True, False], ids=["alp-local", "alp-global"])
+def test_expected_max_array_call_equals_scalar_calls(local):
+    model = alp_local_model(ALP_LDA, 10.0) if local else alp_global_model(ALP_LDA, 10.0)
+    s = -1.0 if local else 1.0  # the sign of the regime
+    # a forced claim, delta = 0 (the support side), the stop-loss side, and
+    # for the global model delta beyond the cap, where the gain never reaches
+    c1 = s * np.array([0.5, 0.0, 1.5, 0.0, 0.7, 2.0, 0.0, 1.0])
+    c2 = np.array([-math.inf, 0.0, s * 1.5, s * 0.3, s * 2.5, s * 6.0, s * 12.0, s * 30.0])
+    scalar = [model.expected_max(a, b) for a, b in zip(c1.tolist(), c2.tolist())]
+    assert all(type(x) is float for x in scalar)
+    assert np.array_equal(model.expected_max(c1, c2), scalar)
+    grid = model.expected_max(c1.reshape(2, 4), c2.reshape(2, 4))
+    assert grid.shape == (2, 4) and np.array_equal(grid.ravel(), scalar)
+    # one element outside the regime spoils the whole call
+    with pytest.raises(ValueError):
+        model.expected_max(np.append(c1, s * 1.0), np.append(c2, s * 0.5))
+    with pytest.raises(ValueError):
+        model.expected_max(np.append(c1, -s * 1.0), np.append(c2, -s * 1.0))
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+SWEEP_HORIZON = Horizon(T=6, k=3)
+
+
+def _assert_valid_table(model, local: bool) -> None:
+    """ROADMAP aim-3 invariants: finite, monotone in L, threshold signs."""
+    table = compute_value_table(model, SWEEP_HORIZON)
+    T, k = SWEEP_HORIZON.T, SWEEP_HORIZON.k
+    for l in range(1, k + 1):
+        column = table.values[l : T + 1, l]
+        assert np.all(np.isfinite(column))
+        assert np.all(np.diff(column) >= 0.0)
+    b = thresholds(table)
+    b = b[np.isfinite(b)]
+    assert np.all(b <= 0.0) if local else np.all(b >= 0.0)
+
+
+@given(
+    rate=_log_uniform(0.1, 100.0),
+    mu=_log_uniform(0.01, 100.0),
+    lam=_log_uniform(0.01, 100.0),
+    scale=_log_uniform(0.01, 100.0),
+)
+def test_contract_sweep_gives_valid_tables(rate, mu, lam, scale):
+    # the policy parameter spans four decades around the mean annual loss
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    param = scale * lda.mean_annual_loss
+    alp_local, alp_global = alp_local_model(lda, param), alp_global_model(lda, param)
+    _assert_valid_table(alp_local, local=True)
+    _assert_valid_table(alp_global, local=False)
+    _assert_valid_table(pap_local_model(lda, param), local=True)
+    _assert_valid_table(ilp_local_model(ILPAuxModel(rate, IGParams(mu=mu, lam=lam))), local=True)
+    total = alp_global.mean_gain - alp_local.mean_gain
+    assert total == pytest.approx(lda.mean_annual_loss, rel=1e-9)
+
+
+PAP_SWEEP = dict(
+    rate=_log_uniform(0.1, 10.0),
+    mu=_log_uniform(0.01, 100.0),
+    lam=_log_uniform(0.01, 100.0),
+    scale=_log_uniform(0.01, 100.0),
+)
+
+
+@settings(max_examples=10)  # a PAP-global table costs about 0.1 s here
+@given(**PAP_SWEEP)
+def test_pap_global_sweep_gives_valid_tables(rate, mu, lam, scale):
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    _assert_valid_table(pap_global_model(lda, scale * lda.mean_annual_loss), local=False)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="PAP-global's 128-node outer grid on (0, attachment) misses mass of a skewed "
+    "severity: at rate 1, IG(10, 1), attachment 100 its mass is 1 + 3.1e-7 and the mean "
+    "gains sum to E[Z] + 5.9e-5",
+)
+@example(rate=1.0, mu=10.0, lam=1.0, scale=10.0)
+@settings(max_examples=10)
+@given(**PAP_SWEEP)
+def test_pap_sweep_mean_gains_sum_to_mean_loss(rate, mu, lam, scale):
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    attachment = scale * lda.mean_annual_loss
+    total = pap_global_model(lda, attachment).mean_gain - pap_local_model(lda, attachment).mean_gain
+    assert total == pytest.approx(lda.mean_annual_loss, rel=1e-9)
 
 
 # ---------------------------------------------------------------- consistency

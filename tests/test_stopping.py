@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tree_oracle import enumerate_expected_realized_gain, tree_game_value
+from multistop.distributions import NumericalError
 from multistop.stopping import (
     Decision,
     Horizon,
@@ -131,6 +132,50 @@ def test_value_table_csv_layout(tmp_path, ln_table):
     assert first[2] == ""  # blank above the diagonal
     last = rows[-1].split(",")
     assert float(last[9]) == pytest.approx(ln_table.value(10, 9))
+
+
+class CallLog:
+    """Forwarding proxy that records the name of every method called through it."""
+
+    def __init__(self, model):
+        self._model = model
+        self.calls = []
+
+    def __getattr__(self, attr):
+        value = getattr(self._model, attr)
+        if not callable(value):
+            return value
+
+        def logged(*args):
+            self.calls.append(attr)
+            return value(*args)
+
+        return logged
+
+
+def test_models_are_called_per_row_or_per_cell_through_a_proxy():
+    # a StopLossGain takes one call per row, also behind a forwarding proxy
+    proxy = CallLog(lognormal_local_model(0.0, 1.0))
+    compute_value_table(proxy, Horizon(T=12, k=4))
+    assert proxy.calls == ["expected_max"] * 12
+    # a model with a scalar-only expected_max is called per off-diagonal cell
+    proxy = CallLog(DiscreteGain([0.0, 1.0, 4.0], [0.3, 0.4, 0.3]))
+    compute_value_table(proxy, Horizon(T=7, k=4))
+    assert proxy.calls == ["expected_max"] * sum(min(L - 1, 4) for L in range(1, 8))
+
+
+def test_failing_stop_loss_is_reported_with_its_row():
+    class Broken(StopLossGain):
+        """W = -1, whose stop-loss transform fails once a row holds three cells."""
+
+        def stop_loss(self, delta):
+            if delta.size >= 3:
+                raise FloatingPointError("kernel diverged")
+            return np.maximum(-1.0 - delta, 0.0)
+
+    with pytest.raises(NumericalError, match=r"row L=4\b.*kernel diverged") as info:
+        compute_value_table(Broken(-1.0), Horizon(T=8, k=3))
+    assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 # ---------------------------------------------------------------- thresholds
