@@ -6,6 +6,9 @@ structures, a Gamma-Laguerre density-expansion fallback, and a simulation
 harness for rule-comparison studies.
 """
 
+# set before the submodules load: run reports record it
+__version__ = "0.1.0"
+
 from .distributions import (
     DEFAULT_QUAD,
     FrequencyModel,
@@ -90,5 +93,3 @@ from .stopping import (
     run_rule,
     thresholds,
 )
-
-__version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 Three named presets drive the comparison harness end to end: build the gain
 model and value table, simulate a pathwise batch, replay the four rules, and
-write ``report.json`` (means, standard errors, reference lines, pairwise
-significance), ``hist.csv`` (shared-bin histograms per rule), and
-``triples.csv`` (claim-year tuples under the threshold rule).
+write ``report.json`` (seed, stream contract and package version, means,
+standard errors, reference lines, pairwise significance), ``hist.csv``
+(shared-bin histograms per rule), and ``triples.csv`` (claim-year tuples
+under the threshold rule).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from copy import deepcopy
 
 import numpy as np
 
+from . import __version__
 from .policies import (
     GLOBAL,
     LOCAL,
@@ -26,6 +28,7 @@ from .policies import (
     lda_from_config,
 )
 from .simulation import (
+    STREAMS,
     ScenarioBatch,
     compare_rules,
     default_rules,
@@ -107,6 +110,8 @@ def run_experiment(
     report: dict = {
         "preset": name,
         "seed": run_seed,
+        "streams": STREAMS,
+        "version": __version__,
         "n_scenarios": n_sim,
         "horizon": {"T": horizon.T, "k": horizon.k},
         "objectives": {},

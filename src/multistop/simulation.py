@@ -1,20 +1,24 @@
 """Scenario simulation, rule comparison experiments, and report emission.
 
 Scenarios are generated pathwise from the policy definitions (never from the
-closed forms), one independent child RNG stream per scenario so results are
-bit-reproducible for a given seed regardless of how the work is scheduled.
-Each T-year path carries the raw annual loss ``Z``, the insured loss ``Zt``,
-and the objective's gain ``W`` (``-Zt`` local, ``Z - Zt`` global).
+closed forms), from block streams fixed by the seed alone, so results are
+bit-reproducible for a given seed.  Each T-year path carries the raw annual
+loss ``Z``, the insured loss ``Zt``, and the objective's gain ``W`` (``-Zt``
+local, ``Z - Zt`` global).
 
-Stream contract: scenario ``i`` of a batch with seed ``s`` draws from
-``default_rng(SeedSequence(s, spawn_key=(i,)))``, which is the ``i``-th child
-of ``SeedSequence(s).spawn(n)``.  It draws ``poisson(rate, T)`` for its yearly
-loss counts, then ``standard_normal(total)`` and then ``random(total)`` (equal
-bit for bit to ``uniform(size=total)``) for the IG transform of its ``total``
-losses, in year order; both draws are skipped when ``total == 0``.
-Scenarios are simulated in fixed-size blocks, and the block size changes no
-result.  The objectives of a study share one (Z, Zt) panel, because they
-share its seed: ``ScenarioBatch.with_objective`` derives the second ``W``.
+Stream contract (``STREAMS``): scenario block ``b`` holds the rows
+``[1024 b, 1024 b + 1024)`` of a batch with seed ``s`` and draws from three
+generators, ``default_rng(SeedSequence(s, spawn_key=(b, j)))``, the ``j``-th
+child of the ``b``-th child of ``SeedSequence(s)``.  Generator ``j = 0`` draws
+``poisson(rate, (rows, T))``, row-major, for the yearly loss counts of the
+block's ``rows`` kept scenarios.  The block's ``total`` losses, scenario by
+scenario and year by year, take their IG transform from
+``standard_normal(total)`` (``j = 1``) and ``random(total)`` (``j = 2``).
+Each generator is read in order and only as far as the kept rows need, so a
+batch of ``n`` is the first ``n`` rows of any larger batch with the same
+seed.  A year's loss is the plain sum of its losses.  The objectives of a study share one (Z, Zt)
+panel, because they share its seed: ``ScenarioBatch.with_objective``
+derives the second ``W``.
 
 The experiment harness replays four claim-timing rules on a common batch --
 the threshold rule from the value recursion, a fixed-years rule, a uniform
@@ -46,9 +50,11 @@ from .policies import (
 from .stopping import ValueTable, claim_years, thresholds
 
 _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario streams
-# Scenarios per block of the simulation kernel.  Every scenario keeps its own
-# stream, so the block size trades memory for speed and never changes results.
+# Scenarios per block of the simulation kernel.  Each block owns its streams,
+# so the block size is part of the stream contract: changing it changes results.
 _BLOCK = 1024
+# Names the stream contract of the module docstring in run reports.
+STREAMS = f"block{_BLOCK}-poisson-normal-uniform"
 
 
 @dataclass(frozen=True)
@@ -116,40 +122,34 @@ def _segment_reduce(values, starts, lengths, reduce_rows) -> np.ndarray:
 def _simulate(rate, severity, horizon_years, n_scenarios, seed, year_losses):
     """The simulation kernel: (Z, Zt) panels of compound-Poisson IG years.
 
-    Scenarios are drawn in blocks of ``_BLOCK``, each from its own child
-    stream as the module docstring states.  ``year_losses(xs, starts,
-    lengths)`` maps the block's flat severities and its scenario-year
-    segments (scenario-major) to the flat ``(z, zt)`` of those years.
+    Scenarios are drawn in blocks of ``_BLOCK`` from the block streams of the
+    module docstring.  ``year_losses(xs, starts, lengths)`` maps the block's
+    flat severities and its scenario-year segments (scenario-major) to the
+    flat ``(z, zt)`` of those years.
     """
     _check_sim_args(horizon_years, n_scenarios, seed)
     z = np.empty((n_scenarios, horizon_years))
     zt = np.empty((n_scenarios, horizon_years))
-    normal = uniform = np.empty(0)
-    for lo in range(0, n_scenarios, _BLOCK):
-        rows = range(lo, min(lo + _BLOCK, n_scenarios))
-        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in rows]
-        counts = np.array([rng.poisson(rate, horizon_years) for rng in rngs])
-        totals = counts.sum(axis=1)
-        ends = np.cumsum(totals)
-        n_draws = int(ends[-1])
-        if n_draws > normal.size:
-            normal, uniform = np.empty(n_draws), np.empty(n_draws)
-        for rng, end, total in zip(rngs, ends.tolist(), totals.tolist()):
-            if total:
-                rng.standard_normal(out=normal[end - total : end])
-                rng.random(out=uniform[end - total : end])
-        xs = _ig_transform(severity, normal[:n_draws], uniform[:n_draws])
+    for b, lo in enumerate(range(0, n_scenarios, _BLOCK)):
+        hi = min(lo + _BLOCK, n_scenarios)
+        counts_rng, normal_rng, uniform_rng = (
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b, j)))
+            for j in range(3)
+        )
+        counts = counts_rng.poisson(rate, (hi - lo, horizon_years))
+        total = int(counts.sum())
+        xs = _ig_transform(severity, normal_rng.standard_normal(total), uniform_rng.random(total))
         lengths = counts.ravel()
         z_years, zt_years = year_losses(xs, np.cumsum(lengths) - lengths, lengths)
-        z[lo : rows.stop] = z_years.reshape(counts.shape)
-        zt[lo : rows.stop] = zt_years.reshape(counts.shape)
+        z[lo:hi] = z_years.reshape(counts.shape)
+        zt[lo:hi] = zt_years.reshape(counts.shape)
     return z, zt
 
 
 def simulate_batch(
     lda: LDAModel, policy: PolicySpec, horizon_years: int, n_scenarios: int, seed: int
 ) -> ScenarioBatch:
-    """Simulate straight from the policy definition, one stream per scenario."""
+    """Simulate straight from the policy definition on the block streams."""
     kind, param = policy.kind, policy.param
 
     def year_losses(xs, starts, lengths):
@@ -183,8 +183,7 @@ def simulate_aux_local_batch(
     """
 
     def year_losses(xs, starts, lengths):
-        # each year adds its losses one at a time, in draw order
-        zt = _segment_reduce(xs, starts, lengths, lambda m: np.cumsum(m, axis=1)[:, -1])
+        zt = _segment_reduce(xs, starts, lengths, _row_sums)
         return zt, zt
 
     z, zt = _simulate(

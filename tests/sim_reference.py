@@ -1,7 +1,7 @@
-"""Frozen per-scenario, per-year loop versions of the two scenario simulators.
+"""Frozen block-by-block, scenario-by-scenario loop versions of the two simulators.
 
-These are the simulators as they stood before the block kernel replaced
-them, kept verbatim (with their own copy of the IG sampler) as the
+They spell out the stream contract of ``multistop.simulation`` one scenario
+and one year at a time, with their own copy of the IG transform, as the
 bit-identity reference for ``simulate_batch`` and ``simulate_aux_local_batch``.
 Do not optimise them.
 """
@@ -11,16 +11,33 @@ import numpy as np
 from multistop.policies import GLOBAL, LOCAL, ConfigError
 from multistop.simulation import ScenarioBatch
 
+BLOCK = 1024
 
-def _sample_ig(params, rng, size):
-    y = rng.standard_normal(size) ** 2
+
+def _ig_from(params, normal, u):
+    y = normal**2
     mu, lam = params.mu, params.lam
     x = mu + mu**2 * y / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
         4.0 * mu * lam * y + mu**2 * y**2
     )
     x = np.maximum(x, np.finfo(float).tiny)
-    u = rng.uniform(size=size)
     return np.where(u <= mu / (mu + x), x, mu**2 / x)
+
+
+def _scenario_years(rate, severity, horizon_years, n_scenarios, seed):
+    """Yield (row, list of that row's per-year loss arrays) for every scenario."""
+    for b, lo in enumerate(range(0, n_scenarios, BLOCK)):
+        rows = min(BLOCK, n_scenarios - lo)
+        gens = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b, j))) for j in range(3)]
+        counts = gens[0].poisson(rate, (rows, horizon_years))
+        for r in range(rows):
+            total = int(counts[r].sum())
+            xs = _ig_from(severity, gens[1].standard_normal(total), gens[2].random(total))
+            years, start = [], 0
+            for t in range(horizon_years):
+                years.append(xs[start : start + counts[r, t]])
+                start += counts[r, t]
+            yield lo + r, years
 
 
 def _insured_year_loss(kind, param, xs):
@@ -34,18 +51,10 @@ def _insured_year_loss(kind, param, xs):
 
 
 def reference_simulate_batch(lda, policy, horizon_years, n_scenarios, seed):
-    children = np.random.SeedSequence(seed).spawn(n_scenarios)
     z = np.zeros((n_scenarios, horizon_years))
     zt = np.zeros((n_scenarios, horizon_years))
-    for i in range(n_scenarios):
-        rng = np.random.default_rng(children[i])
-        counts = rng.poisson(lda.frequency.rate, horizon_years)
-        total = int(counts.sum())
-        xs = _sample_ig(lda.severity, rng, size=total) if total else np.empty(0)
-        start = 0
-        for t in range(horizon_years):
-            year = xs[start : start + counts[t]]
-            start += counts[t]
+    for i, years in _scenario_years(lda.frequency.rate, lda.severity, horizon_years, n_scenarios, seed):
+        for t, year in enumerate(years):
             z[i, t] = year.sum()
             zt[i, t] = _insured_year_loss(policy.kind, policy.param, year)
     w = (z - zt) if policy.objective == GLOBAL else -zt
@@ -56,15 +65,10 @@ def reference_simulate_batch(lda, policy, horizon_years, n_scenarios, seed):
 
 
 def reference_simulate_aux_local_batch(aux, horizon_years, n_scenarios, seed):
-    children = np.random.SeedSequence(seed).spawn(n_scenarios)
     zt = np.zeros((n_scenarios, horizon_years))
-    for i in range(n_scenarios):
-        rng = np.random.default_rng(children[i])
-        counts = rng.poisson(aux.aux_rate, horizon_years)
-        total = int(counts.sum())
-        if total:
-            xs = _sample_ig(aux.aux_severity, rng, size=total)
-            np.add.at(zt[i], np.repeat(np.arange(horizon_years), counts), xs)
+    for i, years in _scenario_years(aux.aux_rate, aux.aux_severity, horizon_years, n_scenarios, seed):
+        for t, year in enumerate(years):
+            zt[i, t] = year.sum()
     return ScenarioBatch(
         kind="ILP-aux", param=aux.aux_rate, objective=LOCAL, seed=seed,
         z=zt.copy(), z_tilde=zt, w=-zt,

@@ -1,16 +1,19 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from multistop.distributions import FrequencyModel, IGParams
+import multistop
+from multistop.distributions import FrequencyModel, IGParams, _ig_transform
 from multistop.experiments import preset_config, run_experiment
 from multistop.policies import GLOBAL, LOCAL, ConfigError, ILPAuxModel, LDAModel, PolicySpec
 from multistop.policies import alp_global_model, alp_local_model, lda_from_config
 from multistop.simulation import (
     _BLOCK,
+    STREAMS,
     ComparisonRule,
     compare_rules,
     default_rules,
@@ -123,6 +126,48 @@ def test_aux_batch_matches_frozen_loop(rate, n):
         simulate_aux_local_batch(aux, 3, n, seed=12),
         reference_simulate_aux_local_batch(aux, 3, n, seed=12),
     )
+
+
+def _assert_prefixes_of_a_larger_batch(simulate):
+    full = simulate(5000)
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3000):
+        head = replace(full, z=full.z[:n], z_tilde=full.z_tilde[:n], w=full.w[:n])
+        _assert_same_panels(simulate(n), head)
+
+
+@pytest.mark.parametrize("kind, param", [("ALP", 10.0), ("PAP", 4.0), ("ILP", 1.0)])
+def test_simulate_batch_is_a_prefix_of_larger_batches(kind, param):
+    policy = PolicySpec(kind=kind, param=param, objective=GLOBAL)
+    _assert_prefixes_of_a_larger_batch(lambda n: simulate_batch(LDA, policy, 8, n, seed=6))
+
+
+def test_aux_batch_is_a_prefix_of_larger_batches():
+    aux = ILPAuxModel(aux_rate=4.0, aux_severity=IGParams(mu=1.0, lam=3.0))
+    _assert_prefixes_of_a_larger_batch(lambda n: simulate_aux_local_batch(aux, 8, n, seed=6))
+
+
+def test_kernel_draws_only_the_losses_of_kept_rows(monkeypatch):
+    sizes = []
+
+    def spy(severity, normal, uniform):
+        sizes.append((normal.size, uniform.size))
+        return _ig_transform(severity, normal, uniform)
+
+    monkeypatch.setattr("multistop.simulation._ig_transform", spy)
+    lda = LDAModel(FrequencyModel(rate=150.0), IGParams(mu=1.0, lam=1.5))
+    simulate_batch(lda, ALP_GLOBAL, 40, 1, seed=11)
+    counts_rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0, 0)))
+    total = int(counts_rng.poisson(150.0, (1, 40)).sum())
+    assert sizes == [(total, total)]
+
+
+def test_report_records_seed_streams_and_version(tmp_path):
+    returned = run_experiment("ilp-study", out_dir=tmp_path, seed=5, n_scenarios=200)
+    written = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    for report in (returned, written):
+        assert report["seed"] == 5
+        assert report["streams"] == STREAMS
+        assert report["version"] == multistop.__version__
 
 
 @pytest.mark.parametrize("kind, param", [("ALP", 10.0), ("PAP", 4.0), ("ILP", 1.0)])
