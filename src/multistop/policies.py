@@ -355,21 +355,35 @@ class PapLocalGain(StopLossGain):
         return self._atom + float(np.sum(self._g)) + never
 
 
+# PAP-global's composite inner grid: Gauss-Legendre nodes per segment,
+# segments per octave of the tail above the attachment, and the ratio of the
+# geometric pieces that grade a call's grid toward x = delta
+_PAP_SEG_NODES = 8
+_PAP_TAIL_PER_OCTAVE = 32
+_PAP_GRADE = 0.5
+
+
 class PapGlobalGain(StopLossGain):
     """PAP, global objective: W = sum of losses from the crossing onwards.
 
     Conditional on ``N = m`` and crossing index ``j``, the gain is the
-    crossing loss (restricted to exceed the remaining gap) plus an
-    unconstrained IG sum of the ``m - j`` subsequent losses.  Expectations
-    integrate a closed-form inner kernel over the crossing gap and the
-    pre-crossing sum on nested Gauss-Legendre grids.
+    crossing loss ``x`` (restricted to exceed the remaining gap ``u``) plus
+    an unconstrained IG sum ``S_r`` of the ``r = m - j`` subsequent losses.
+    Expectations integrate over ``u`` on a fixed Gauss-Legendre grid of
+    ``(0, attachment)`` (``u`` is the attachment itself when the first loss
+    crosses) and are exact in ``x``, except for the residual sum's
+    stop-loss transform ``SL_r(delta - x)``.  Exchanging the two sums
+    integrates that term once for all gaps, weighted by the step function
+    ``H_r(x)``, the weight of the gaps below ``x``.  It runs on one
+    composite Gauss-Legendre grid in ``x``, split at every gap, at the
+    attachment and geometrically above it, built with its weights
+    ``f_X(x) H_r(x)`` at construction; a call only adds pieces graded
+    geometrically toward ``x = delta``, where ``SL_r`` is least smooth.
     """
 
     local = False
 
-    def __init__(
-        self, lda: LDAModel, attachment: float, n_outer: int = 128, n_inner: int = 64
-    ) -> None:
+    def __init__(self, lda: LDAModel, attachment: float, n_outer: int = 128) -> None:
         if not (math.isfinite(attachment) and attachment > 0):
             raise ConfigError(f"attachment must be positive, got {attachment}")
         self.lda = lda
@@ -393,7 +407,6 @@ class PapGlobalGain(StopLossGain):
                 h[r] += mix.pm[i + r] * dens
         self._h = h
         self._pr1 = mix.pm  # P[N = r + 1] weights the crossing-first branch
-        self._ti, self._wi = np.polynomial.legendre.leggauss(n_inner)
         # effective support bounds: where the crossing-loss density and the
         # largest residual sum's stop-loss transform have fully decayed
         x_hi = max(mu, attachment)
@@ -404,9 +417,35 @@ class PapGlobalGain(StopLossGain):
         while float(_ig_cdf(np.asarray(s_cap), m_max * mu, m_max * m_max * lam)) < 1.0 - 1e-15:
             s_cap *= 2.0
         self._s_cap = s_cap
+        # below y_lin every S_r sits above y, so SL_r(y) = r mu - y there
+        y_lin = mu
+        while float(_ig_cdf(np.asarray(y_lin), mu, lam)) > 1e-17:
+            y_lin *= 0.5
+        self._y_lin = y_lin
 
         mean = self._reduce(self._psi_mean(self._u), self._psi_mean(np.array([attachment])))
         super().__init__(mean)
+
+        # the closed-form terms need only each gap's weight summed over r
+        r = np.arange(m_max)
+        self._gaps = np.append(self._u, attachment)
+        self._gap_w = np.append(h.sum(axis=0), mix.pm.sum())
+        self._gap_rw = np.append(r @ h, r @ mix.pm)
+        self._gap_f = _ig_cdf(self._gaps, mu, lam)
+        self._gap_tail_first = mu * (1.0 - _gig_half_cdf(self._gaps, self._alpha, lam))
+
+        # the composite x grid, H_r on each of its segments for r >= 1, and
+        # the nodes with their weights w f_X(x) H_r(x)
+        n_tail = math.ceil(_PAP_TAIL_PER_OCTAVE * math.log2(x_hi / attachment))
+        order = np.argsort(self._u)
+        cuts = np.concatenate((self._u[order], np.geomspace(attachment, x_hi, n_tail + 1)))
+        steps = np.cumsum(np.concatenate((h[1:, order], mix.pm[1:, None]), axis=1), axis=1)
+        self._cuts = cuts
+        self._seg_h = steps[:, np.minimum(np.arange(cuts.size - 1), steps.shape[1] - 1)]
+        self._t, self._w = np.polynomial.legendre.leggauss(_PAP_SEG_NODES)
+        self._x, wf = self._pieces(cuts[:-1], cuts[1:])
+        self._hx = np.repeat(self._seg_h, _PAP_SEG_NODES, axis=1) * wf
+        self._rr = np.arange(1, m_max)[:, None]
 
     def _reduce(self, psi_u: np.ndarray, psi_att: np.ndarray) -> float:
         return float(np.sum(self._h * psi_u) + np.sum(self._pr1 * psi_att[:, 0]))
@@ -418,42 +457,61 @@ class PapGlobalGain(StopLossGain):
         r = np.arange(self._m_max)[:, None]
         return tail_first[None, :] + r * self._mu * tail_count[None, :]
 
-    def _psi_max(self, u: np.ndarray, c1: float, c2: float) -> np.ndarray:
-        """``int_u^inf f_X(x) E[max{c1 + x + S_r, c2}] dx`` for each r.
+    def _pieces(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss nodes of the pieces ``(lo, hi)`` and their weights ``w f_X(x)``."""
+        half = 0.5 * (hi - lo)[:, None]
+        x = (lo[:, None] + half * (self._t + 1.0)).ravel()
+        return x, (half * self._w).ravel() * _ig_pdf(x, self._mu, self._lam)
 
-        On (u, delta) the integrand is ``c2`` plus the residual sum's
-        stop-loss transform ``E[(S_r - (delta - x))+]``; the bulk has an
-        exact CDF form and the correction lives on a bounded window, so the
-        quadrature grid never stretches with ``c2``.
-        """
-        delta = c2 - c1
-        b0 = np.maximum(u, delta)
-        tail_x = 1.0 - _ig_cdf(b0, self._mu, self._lam)
-        tail_first = self._mu * (1.0 - _gig_half_cdf(b0, self._alpha, self._lam))
-        r = np.arange(self._m_max)[:, None]
-        out = (c1 + r * self._mu) * tail_x[None, :] + tail_first[None, :]
-        low = u < delta
-        if np.any(low):
-            ulo = u[low]
-            f_delta = float(_ig_cdf(np.asarray(delta), self._mu, self._lam))
-            out[:, low] += c2 * (f_delta - _ig_cdf(ulo, self._mu, self._lam))[None, :]
-            lo = np.maximum(ulo, delta - self._s_cap)
-            hi = min(delta, self._x_hi)
-            has = lo < hi
-            if np.any(has) and self._m_max > 1:
-                lo = lo[has]
-                half = 0.5 * (hi - lo)
-                x = lo[:, None] + half[:, None] * (self._ti[None, :] + 1.0)
-                w = half[:, None] * self._wi[None, :]
-                fx = w * _ig_pdf(x, self._mu, self._lam)
-                y = delta - x
-                rows = np.nonzero(low)[0][has]
-                for rr in range(1, self._m_max):
-                    fs_bar = 1.0 - _ig_cdf(y, rr * self._mu, rr * rr * self._lam)
-                    fh_bar = 1.0 - _gig_half_cdf(y, self._alpha, rr * rr * self._lam)
-                    stop_loss = rr * self._mu * fh_bar - y * fs_bar
-                    out[rr, rows] += np.sum(fx * stop_loss, axis=1)
-        return out
+    def _gap_terms(self, d: float) -> float:
+        """The closed-form part of ``E[max{W, d}]`` on the positive-gain branches."""
+        dd = np.array([d])
+        f_d = _ig_cdf(dd, self._mu, self._lam)[0]
+        tail_first_d = self._mu * (1.0 - _gig_half_cdf(dd, self._alpha, self._lam)[0])
+        low = self._gaps < d  # the crossing loss can fall short of d
+        tail_x = np.where(low, 1.0 - f_d, 1.0 - self._gap_f)
+        tail_first = np.where(low, tail_first_d, self._gap_tail_first)
+        below = np.where(low, self._gap_w * (f_d - self._gap_f), 0.0)
+        return float(
+            self._mu * np.sum(self._gap_rw * tail_x)
+            + np.sum(self._gap_w * tail_first)
+            + d * np.sum(below)
+        )
+
+    def _inner(self, d: float) -> float:
+        """``int f_X(x) H_r(x) SL_r(d - x) dx`` over ``x < d``, summed over r."""
+        cuts, p = self._cuts, _PAP_SEG_NODES
+        a, b = max(cuts[0], d - self._s_cap), min(d, self._x_hi)
+        if not a < b:
+            return 0.0
+        # the segments from the one holding a (SL_r vanishes beyond s_cap, so
+        # all of it) to the one holding b; a segment wider than a graded piece
+        # at its distance from d is near, and from the first near one on the
+        # grid is cut again
+        s_lo = int(np.searchsorted(cuts, a, "right")) - 1
+        s_hi = int(np.searchsorted(cuts, b, "left")) - 1
+        right = cuts[s_lo + 1 : s_hi + 2]
+        width = right - cuts[s_lo : s_hi + 1]
+        near = np.flatnonzero(width > (d - right) * (1.0 / _PAP_GRADE - 1.0))
+        s_near = s_lo + int(near[0]) if near.size else s_hi + 1
+        x, hx = self._x[s_lo * p : s_near * p], self._hx[:, s_lo * p : s_near * p]
+        if s_near <= s_hi:
+            # the near segments up to b, cut also where the distance from d
+            # falls geometrically from their start down to y_lin
+            d0, d_end = d - cuts[s_near], max(d - b, self._y_lin)
+            n_grade = max(math.ceil(math.log(d0 / d_end) / -math.log(_PAP_GRADE)) - 1, 0)
+            ladder = d - d0 * _PAP_GRADE ** np.arange(1, n_grade + 1)
+            inside = cuts[s_near + 1 : s_hi + 1]
+            pts = np.unique(np.concatenate(([cuts[s_near], b], inside, ladder)))
+            x_new, wf = self._pieces(pts[:-1], pts[1:])
+            seg = np.searchsorted(cuts, 0.5 * (pts[:-1] + pts[1:]), "right") - 1
+            x = np.concatenate((x, x_new))
+            hx = np.concatenate((hx, np.repeat(self._seg_h[:, seg], p, axis=1) * wf), axis=1)
+        y = d - x
+        rr = self._rr
+        fs_bar = 1.0 - _ig_cdf(y, rr * self._mu, rr * rr * self._lam)
+        fh_bar = 1.0 - _gig_half_cdf(y, self._alpha, rr * rr * self._lam)
+        return float(np.sum((rr * self._mu * fh_bar - y * fs_bar) * hx))
 
     def continuous_mass(self) -> float:
         """Quadrature mass of the strictly-positive-gain branches."""
@@ -465,13 +523,10 @@ class PapGlobalGain(StopLossGain):
         return self._reduce(tail_u, tail_att)
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
-        # E[max{W, d}] - d: the kernel at c1 = 0, plus the zero-gain atom.  One
-        # d at a time: a broadcast over d would multiply the kernel's (r,
-        # node, inner) temporaries by the number of d.
-        att = np.array([self.attachment])
+        # E[max{W, d}] - d over the positive-gain branches, plus the zero-gain
+        # atom.  One d at a time keeps the temporaries at (m_max - 1) x nodes.
         return np.array([
-            self._reduce(self._psi_max(self._u, 0.0, d), self._psi_max(att, 0.0, d))
-            + d * (self.prob_zero_gain - 1.0)
+            self._gap_terms(d) + self._inner(d) + d * (self.prob_zero_gain - 1.0)
             for d in delta.tolist()
         ])
 

@@ -345,8 +345,12 @@ def stopping_time_distribution(
     if k != table.k:
         raise ConfigError(f"k={k} does not match table k={table.k}")
     taus = rule_claim_years(batch, table, ComparisonRule("optimal"))
-    keys, counts = np.unique(taus, axis=0, return_counts=True)
-    return {tuple(key): count for key, count in zip(keys.tolist(), counts.tolist())}
+    # sort the rows lexicographically (lexsort keys run last column first)
+    # and tally each run of equal rows
+    s = taus[np.lexsort(taus.T[::-1])]
+    starts = np.flatnonzero(np.concatenate(([True], np.any(s[1:] != s[:-1], axis=1))))
+    counts = np.diff(starts, append=len(s))
+    return {tuple(key): count for key, count in zip(s[starts].tolist(), counts.tolist())}
 
 
 def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:

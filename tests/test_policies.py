@@ -44,6 +44,7 @@ from multistop.policies import (
     policy_from_config,
 )
 from multistop.stopping import Horizon, compute_value_table, lognormal_local_model, thresholds
+from pap_global_reference import ReferencePapGlobal
 from table_reference import reference_value_table
 
 ALP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
@@ -249,6 +250,42 @@ def test_pap_global_mean_antitone_in_attachment():
     assert all(b <= a for a, b in zip(means, means[1:]))
 
 
+# (rate, mu, lambda, attachment), an inner rule size of the frozen nested
+# kernel at which doubling it moves stop_loss by less than 1e-13, and the
+# tolerance of the composite grid against that kernel
+PAP_GLOBAL_REFERENCE_CASES = {
+    "preset": ((3.0, 1.0, 1.0, 4.0), 128, 1e-12),
+    "skewed": ((1.0, 10.0, 1.0, 100.0), 512, 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAP_GLOBAL_REFERENCE_CASES))
+def test_pap_global_composite_grid_matches_nested_kernel(name):
+    (rate, mu, lam, attachment), n_inner, tol = PAP_GLOBAL_REFERENCE_CASES[name]
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    model = pap_global_model(lda, attachment)
+    gap = np.sort(model._u)[60]
+    tail = model._cuts[model._cuts > attachment]
+    delta = np.array([
+        -1.0,
+        0.0,
+        gap * (1.0 - 1e-9),  # either side of an outer gap
+        gap * (1.0 + 1e-9),
+        attachment - 1e-3,
+        attachment + 1e-3,
+        tail[3],  # on a tail breakpoint
+        0.5 * (tail[3] + tail[4]),  # inside a tail segment
+        4.0 * attachment,  # deep in the tail
+        model._s_cap + 1.0,  # delta - s_cap > 0
+        1.5 * model._x_hi,  # beyond the crossing loss's support bound
+    ])
+    ref = ReferencePapGlobal(lda, attachment, n_inner=n_inner).stop_loss(delta)
+    scale = np.maximum(1.0, np.abs(ref))
+    finer = ReferencePapGlobal(lda, attachment, n_inner=2 * n_inner).stop_loss(delta)
+    assert np.all(np.abs(finer - ref) < 1e-13 * scale)
+    assert np.all(np.abs(model.stop_loss(delta) - ref) <= tol * scale)
+
+
 def test_pap_global_sign_regime():
     model = pap_global_model(PAP_LDA, 4.0)
     with pytest.raises(ValueError):
@@ -365,11 +402,6 @@ GLOBAL_MODELS = {
 }
 
 
-def _run_property(prop, slow: bool) -> None:
-    # a PAP-global call takes about 15 ms, so that model gets fewer examples
-    (settings(max_examples=12)(prop) if slow else prop)()
-
-
 @pytest.mark.parametrize("name", sorted(LOCAL_MODELS))
 def test_local_gain_contract_properties(name):
     model = LOCAL_MODELS[name]()
@@ -386,7 +418,7 @@ def test_local_gain_contract_properties(name):
         assert model.expected_max(min(c1 + bump, 0.0), c2) >= val - 1e-9
         assert model.expected_max(c1, min(c2 + bump, c1)) >= val - 1e-9
 
-    _run_property(prop, slow=False)
+    prop()
 
 
 @pytest.mark.parametrize("name", sorted(GLOBAL_MODELS))
@@ -405,7 +437,7 @@ def test_global_gain_contract_properties(name):
         assert model.expected_max(c1 + bump, c2 + bump) >= val - 1e-9
         assert model.expected_max(c1, c2 + bump) >= val - 1e-9
 
-    _run_property(prop, slow=name == "pap")
+    prop()
 
 
 # ------------------------------------------------------ row-batched recursion
@@ -428,7 +460,7 @@ TABLE_MODELS = {
     "alp-local": (lambda: alp_local_model(ALP_LDA, 10.0), (40, 12)),
     "alp-global": (lambda: alp_global_model(ALP_LDA, 10.0), (40, 12)),
     "pap-local": (lambda: pap_local_model(PAP_LDA, 4.0), (40, 12)),
-    "pap-global": (lambda: pap_global_model(PAP_LDA, 4.0), (6, 2)),
+    "pap-global": (lambda: pap_global_model(PAP_LDA, 4.0), (40, 12)),
     "ilp-local": (lambda: ilp_local_model(AUX), (40, 12)),
     "ilp-global": (_ilp_global_1e4_model, (40, 12)),
     "lognormal": (lambda: lognormal_local_model(0.0, 1.0), (40, 12)),
@@ -513,7 +545,7 @@ PAP_SWEEP = dict(
 )
 
 
-@settings(max_examples=10)  # a PAP-global table costs about 0.1 s here
+@settings(max_examples=30)  # a PAP-global table costs about 0.03 s here
 @given(**PAP_SWEEP)
 def test_pap_global_sweep_gives_valid_tables(rate, mu, lam, scale):
     lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))

@@ -345,6 +345,27 @@ def test_stopping_time_distribution_matches_row_loop(small_batch, global_table):
     assert all(type(c) is int for c in dist.values())
 
 
+@pytest.mark.parametrize(
+    "taus",
+    [
+        np.array([[2, 5, 7], [1, 2, 3], [2, 5, 7], [1, 2, 8], [1, 2, 3], [2, 5, 7], [1, 3, 4]]),
+        np.array([[4], [1], [4], [8], [1], [4]]),
+        np.array([[3, 6, 8]]),
+    ],
+    ids=["repeated", "k1", "one-scenario"],
+)
+def test_stopping_time_distribution_matches_unique_tally(monkeypatch, small_batch, taus):
+    # the claim years are fixed, so only the tally is under test
+    monkeypatch.setattr(multistop.simulation, "rule_claim_years", lambda *args: taus)
+    table = compute_value_table(alp_global_model(LDA, 10.0), Horizon(T=8, k=taus.shape[1]))
+    keys, counts = np.unique(taus, axis=0, return_counts=True)
+    expected = {tuple(key): count for key, count in zip(keys.tolist(), counts.tolist())}
+    dist = stopping_time_distribution(small_batch, table, taus.shape[1])
+    assert list(dist.items()) == list(expected.items())
+    assert all(type(t) is int for key in dist for t in key)
+    assert all(type(c) is int for c in dist.values())
+
+
 def test_price_proxy_nonnegative_and_consistent(global_table):
     batch = simulate_batch(LDA, ALP_GLOBAL, 8, 10_000, seed=13)
     proxy = price_proxy(batch, global_table, 3)
