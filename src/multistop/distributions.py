@@ -146,9 +146,17 @@ def _ig_pdf(x, mu, lam):
     out = np.zeros(x.shape)
     pos = (x > 0) & np.isfinite(x)
     xp, mp, lp = x[pos], mu[pos], lam[pos]
-    out[pos] = np.sqrt(lp / (2.0 * np.pi * xp**3)) * np.exp(
-        -lp * (xp - mp) ** 2 / (2.0 * mp**2 * xp)
-    )
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = lp / (2.0 * np.pi * xp**3)
+        expo = -lp * (xp - mp) ** 2 / (2.0 * mp**2 * xp)
+    with np.errstate(invalid="ignore"):  # inf * 0 where the scale overflows
+        dens = np.sqrt(scale) * np.exp(expo)
+    # at tiny x, x**3 underflows and the scale overflows; there the density is
+    # taken in log form, which gives 0 where it underflows
+    big = np.isinf(scale)
+    if big.any():
+        dens[big] = np.exp(0.5 * (np.log(lp[big] / (2.0 * np.pi)) - 3.0 * np.log(xp[big])) + expo[big])
+    out[pos] = dens
     return out
 
 

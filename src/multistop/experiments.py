@@ -30,13 +30,13 @@ from .policies import (
 from .simulation import (
     STREAMS,
     ScenarioBatch,
+    _claim_year_tally,
+    _mean_claimed_gain,
     compare_rules,
     default_rules,
     exceedance_probability,
-    price_proxy,
     simulate_aux_local_batch,
     simulate_batch,
-    stopping_time_distribution,
 )
 from .stopping import Horizon, compute_value_table
 
@@ -130,7 +130,9 @@ def run_experiment(
             batch = batch.with_objective(objective)
         rules = default_rules(det_years)
         rr = compare_rules(batch, table, rules, horizon.k, lda=lda)
-        triples = stopping_time_distribution(batch, table, horizon.k)
+        # the threshold rule's claim years, walked once for the tally and the proxy
+        taus = rr.outcome("optimal").taus
+        triples = _claim_year_tally(taus)
         entry = {
             "game_value": table.game_value,
             "reference_solid": rr.reference_solid,
@@ -151,7 +153,7 @@ def run_experiment(
             ],
         }
         if objective == GLOBAL:
-            entry["price_proxy"] = price_proxy(batch, table, horizon.k)
+            entry["price_proxy"] = _mean_claimed_gain(batch, taus)
         report["objectives"][objective] = entry
         reports[objective] = (rr, triples, batch)
     if kind == "ALP" and lda is not None:

@@ -46,7 +46,7 @@ from .distributions import (
     sample_ig,
 )
 from .expansion import gamma_local_model
-from .stopping import StopLossGain, lognormal_local_model
+from .stopping import Horizon, StopLossGain, compute_value_table, lognormal_local_model
 
 Objective = Literal["local", "global"]
 LOCAL: Objective = "local"
@@ -587,13 +587,28 @@ def ilp_global_sample(
     return EmpiricalGainSample(draws=draws, seed=seed)
 
 
+# Disjoint contiguous sections of the sample behind the sectioned standard error.
+_SECTIONS = 20
+
+
 class EmpiricalGain(StopLossGain):
     """Gain model backed by a stored Monte Carlo sample.
 
     The same sample is reused for every ``(c1, c2)`` evaluation, so the whole
     value recursion is driven by one offline simulation;
     :meth:`expected_max_stderr` reports the Monte Carlo error of any single
-    evaluation.
+    evaluation and :meth:`sectioned_stderr` that of a whole value table.
+
+    Besides the unsorted draws, which give the mean and the standard errors,
+    the model stores two arrays for the stop-loss term: ``_sorted``, the
+    draws in ascending order, and ``_excess`` (length ``n + 1``), where
+    ``_excess[j]`` is the sum of ``_sorted[i] - _sorted[j]`` over ``i >= j``
+    (0 at ``j = n``).  With ``j`` the index of the first draw above
+    ``delta``, ``E[(W - delta)+]`` is ``(_excess[j] + (n - j) (_sorted[j] -
+    delta)) / n``: a pure function of ``delta``, and a sum of two nonnegative
+    terms, so it keeps its relative accuracy where ``delta`` sits just below
+    a cluster of tied draws (a sum of the draws above ``delta`` minus ``(n -
+    j) delta`` would cancel there).
     """
 
     local = False
@@ -606,7 +621,14 @@ class EmpiricalGain(StopLossGain):
             )
         self.sample = sample
         self._draws = np.asarray(sample.draws, dtype=float)
-        self._mean_se = float(self._draws.std(ddof=1) / math.sqrt(self._draws.size))
+        n = self._draws.size
+        self._sorted = np.sort(self._draws)
+        # _excess[j] = _excess[j + 1] + (n - j - 1) (_sorted[j + 1] - _sorted[j])
+        self._excess = np.zeros(n + 1)
+        steps = np.diff(self._sorted)
+        steps *= np.arange(n - 1, 0, -1)
+        np.cumsum(steps[::-1], out=self._excess[: n - 1][::-1])
+        self._mean_se = float(self._draws.std(ddof=1) / math.sqrt(n))
         super().__init__(float(self._draws.mean()))
 
     @property
@@ -614,15 +636,36 @@ class EmpiricalGain(StopLossGain):
         return self._mean_se
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
-        # one d at a time: a (d, draw) broadcast would hold the row length
-        # times the sample in memory
-        return np.array([np.mean(np.maximum(self._draws - d, 0.0)) for d in delta.tolist()])
+        n = self._sorted.size
+        j = np.searchsorted(self._sorted, delta, side="right")
+        # at j = n no draw is above delta; the clipped draw gets weight 0
+        above = np.take(self._sorted, j, mode="clip")
+        return (self._excess[j] + (n - j) * (above - delta)) / n
 
     def expected_max_stderr(self, c1: float, c2: float) -> float:
         if c2 == -math.inf:
             return self._mean_se
         vals = np.maximum(c1 + self._draws, c2)
         return float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+    def sectioned_stderr(self, horizon: Horizon) -> np.ndarray:
+        """Standard error of every cell of this model's value table.
+
+        The draws are split into ``_SECTIONS`` disjoint contiguous sections,
+        each section's table is computed on its own, and the per-cell spread
+        (sample standard deviation) of those tables over ``sqrt(_SECTIONS)``
+        is returned, NaN where the table is undefined.  This carries the
+        sampling error through the recursion, which a per-cell
+        :meth:`expected_max_stderr` does not (sectioning: Asmussen & Glynn,
+        *Stochastic Simulation*, 2007, ch. IV).
+        """
+        tables = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # each section is smaller than a full sample
+            for part in np.array_split(self._draws, _SECTIONS):
+                section = EmpiricalGain(EmpiricalGainSample(draws=part, seed=self.sample.seed))
+                tables.append(compute_value_table(section, horizon).values)
+        return np.std(tables, axis=0, ddof=1) / math.sqrt(_SECTIONS)
 
 
 def ilp_global_model(sample: EmpiricalGainSample) -> EmpiricalGain:

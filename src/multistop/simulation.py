@@ -344,7 +344,10 @@ def stopping_time_distribution(
     """Empirical counts of claim-year k-tuples under the threshold rule."""
     if k != table.k:
         raise ConfigError(f"k={k} does not match table k={table.k}")
-    taus = rule_claim_years(batch, table, ComparisonRule("optimal"))
+    return _claim_year_tally(rule_claim_years(batch, table, ComparisonRule("optimal")))
+
+
+def _claim_year_tally(taus: np.ndarray) -> dict[tuple[int, ...], int]:
     # sort the rows lexicographically (lexsort keys run last column first)
     # and tally each run of equal rows
     s = taus[np.lexsort(taus.T[::-1])]
@@ -360,7 +363,10 @@ def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:
         raise ConfigError("price proxy is defined for global-objective batches")
     if k != table.k:
         raise ConfigError(f"k={k} does not match table k={table.k}")
-    taus = rule_claim_years(batch, table, ComparisonRule("optimal"))
+    return _mean_claimed_gain(batch, rule_claim_years(batch, table, ComparisonRule("optimal")))
+
+
+def _mean_claimed_gain(batch: ScenarioBatch, taus: np.ndarray) -> float:
     rows = np.arange(batch.n_scenarios)[:, None]
     return float(batch.w[rows, taus - 1].sum(axis=1).mean())
 

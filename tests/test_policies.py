@@ -14,7 +14,7 @@ from mc_oracles import (
     mc_expected_max,
     pap_paths,
 )
-from multistop.distributions import FrequencyModel, IGParams, ig_cdf, ig_sum_params
+from multistop.distributions import FrequencyModel, IGParams, _ig_pdf, ig_cdf, ig_sum_params
 from multistop.expansion import (
     MomentSet,
     compound_poisson_loss_moments,
@@ -43,7 +43,13 @@ from multistop.policies import (
     pap_weights,
     policy_from_config,
 )
-from multistop.stopping import Horizon, compute_value_table, lognormal_local_model, thresholds
+from multistop.stopping import (
+    Horizon,
+    StopLossGain,
+    compute_value_table,
+    lognormal_local_model,
+    thresholds,
+)
 from pap_global_reference import ReferencePapGlobal
 from table_reference import reference_value_table
 
@@ -294,6 +300,35 @@ def test_pap_global_sign_regime():
         model.expected_max(2.0, 1.0)
 
 
+def _decimal_ig_pdf(x, mu, lam):
+    # the IG density at 60 significant digits, out of reach of float underflow
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, mu, lam = Decimal(x), Decimal(mu), Decimal(lam)
+        two_pi = 2 * Decimal("3.14159265358979323846264338327950288419716939937510582097")
+        expo = -lam * (x - mu) ** 2 / (2 * mu**2 * x)
+        return float((lam / (two_pi * x**3)).sqrt() * expo.exp())
+
+
+def test_ig_pdf_and_pap_means_at_tiny_arguments_without_warnings():
+    # x**3 underflows below about 1e-103; the density there is 0, or finite
+    # for a shape small enough to keep it up, and never NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _ig_pdf(1e-120, 1.0, 1.0) == 0.0
+        assert np.array_equal(_ig_pdf([1e-105, 1e-110, 1e-320], 1.0, 1.0), np.zeros(3))
+        # there the density is exp of a log that sums terms near 700 in size
+        for x in (1e-110, 1e-104, 1e-320):
+            assert _ig_pdf(x, 1.0, 1e-250) == pytest.approx(_decimal_ig_pdf(x, 1.0, 1e-250), rel=1e-11)
+        for attachment in (1e-100, 1e-110):
+            g = pap_global_model(PAP_LDA, attachment).mean_gain
+            loc = pap_local_model(PAP_LDA, attachment).mean_gain
+            assert math.isfinite(g) and math.isfinite(loc)
+            assert g - loc == pytest.approx(PAP_LDA.mean_annual_loss, rel=1e-9)
+
+
 # ---------------------------------------------------------------- ILP local
 
 
@@ -369,6 +404,119 @@ def test_empirical_sample_validation():
         EmpiricalGainSample(draws=np.array([]), seed=0)
     with pytest.raises(ConfigError):
         EmpiricalGainSample(draws=np.array([-1.0]), seed=0)
+
+
+def _fsum_stop_loss(draws, delta):
+    return math.fsum(np.maximum(draws - delta, 0.0).tolist()) / draws.size
+
+
+def _quiet_empirical_model(draws):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small samples on purpose
+        return ilp_global_model(EmpiricalGainSample(draws=np.asarray(draws, dtype=float), seed=0))
+
+
+def _ilp_sample_deltas(draws):
+    # the sample holds zeros and ties at multiples of the cap 1.5
+    ties = np.array([1.5, 3.0, 4.5])
+    assert all(np.count_nonzero(draws == t) > 1 for t in ties)
+    min_pos = draws[draws > 0].min()
+    return np.concatenate([
+        np.quantile(draws, [0.3, 0.5, 0.9, 0.999], method="inverted_cdf"),  # draws
+        ties,
+        np.nextafter(ties, 0.0),
+        ties - 1e-9,
+        [min_pos, np.nextafter(min_pos, 0.0), 0.5 * min_pos, 5e-324],
+        np.sort(draws)[-3:],
+    ])
+
+
+EMPIRICAL_CASES = {
+    # draws, deltas (all > 0, the global contract's stop-loss side)
+    "ilp-sample": (
+        lambda: ilp_global_sample(ALP_LDA, 1.5, 20_000, 3).draws,
+        _ilp_sample_deltas,
+    ),
+    # ties at the top and draws far from 0: the sum of the draws above delta
+    # minus their count times delta would cancel just below them
+    "tied-top": (
+        lambda: np.concatenate([np.full(10, 1.0), np.full(1000, 5.0)]),
+        lambda d: np.array([0.5, 1.0, np.nextafter(5.0, 0.0), 5.0 - 1e-9]),
+    ),
+    "far-from-zero": (
+        lambda: 1e3 + np.linspace(0.0, 1.0, 10_001),
+        lambda d: 1e3 + np.array([0.5, 0.9, 0.999, 0.9999]),
+    ),
+    "all-zero": (lambda: np.zeros(7), lambda d: np.array([5e-324, 1e-9, 1.0])),
+    "one-draw": (lambda: np.array([3.0]), lambda d: np.array([1e-300, 1.0, np.nextafter(3.0, 0.0)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPIRICAL_CASES))
+def test_empirical_stop_loss_matches_fsum(case):
+    make_draws, make_deltas = EMPIRICAL_CASES[case]
+    draws = make_draws()
+    model = _quiet_empirical_model(draws)
+    top = draws.max()
+    deltas = np.concatenate([make_deltas(draws), [top, np.nextafter(top, np.inf), top + 1.0]])
+    deltas = deltas[deltas > 0]
+    got = model.stop_loss(deltas)
+    exact = np.array([_fsum_stop_loss(draws, d) for d in deltas.tolist()])
+    assert np.all(got[deltas >= top] == 0.0)  # no draw above delta: exactly 0
+    assert np.allclose(got, exact, rtol=1e-12, atol=0.0), np.max(np.abs(got - exact) / exact)
+
+
+def test_empirical_model_keeps_the_sample_and_its_mean():
+    draws = ilp_global_sample(ALP_LDA, 1.5, 20_000, 3).draws
+    baseline = draws.copy()
+    model = _quiet_empirical_model(draws)
+    assert np.array_equal(draws, baseline)  # sorting works on a copy
+    assert np.shares_memory(model._draws, draws)
+    assert model.mean_gain == float(draws.mean())
+    assert model.mean_gain_stderr == float(draws.std(ddof=1) / math.sqrt(draws.size))
+
+
+class _PerDeltaMeanGain(StopLossGain):
+    """The sample's stop-loss term as one mean over all draws per delta."""
+
+    local = False
+
+    def __init__(self, draws):
+        self._draws = draws
+        super().__init__(float(draws.mean()))
+
+    def stop_loss(self, delta):
+        return np.array([np.mean(np.maximum(self._draws - d, 0.0)) for d in delta.tolist()])
+
+
+def test_empirical_table_matches_per_delta_mean():
+    draws = ilp_global_sample(ALP_LDA, 5.0, 10_000, 7).draws
+    horizon = Horizon(T=40, k=12)
+    table = compute_value_table(_quiet_empirical_model(draws), horizon).values
+    reference = compute_value_table(_PerDeltaMeanGain(draws), horizon).values
+    assert np.array_equal(np.isnan(table), np.isnan(reference))
+    assert np.allclose(table, reference, rtol=1e-12, atol=0.0, equal_nan=True)
+
+
+def test_sectioned_stderr_covers_the_spread_across_seeds():
+    # eight independent 1e5-draw samples: the spread of their game values
+    # and the mean sectioned standard error agree within a factor of 3
+    factor = 3.0
+    horizon = Horizon(T=40, k=12)
+    values, errors = [], []
+    for seed in range(8):
+        model = ilp_global_model(ilp_global_sample(ALP_LDA, 1.5, 10**5, 1000 + seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the small sections must stay quiet
+            se = model.sectioned_stderr(horizon)
+        table = compute_value_table(model, horizon)
+        assert se.shape == table.values.shape
+        assert np.array_equal(np.isnan(se), np.isnan(table.values))
+        values.append(table.game_value)
+        errors.append(se[horizon.T, horizon.k])
+    spread = float(np.std(values, ddof=1))
+    mean_se = float(np.mean(errors))
+    assert spread / factor <= mean_se <= factor * spread, (spread, mean_se)
 
 
 # ------------------------------------------------------------ gain contract

@@ -191,6 +191,20 @@ def test_run_experiment_second_objective_matches_its_own_simulation():
     assert {out.name: out.mean for out in rr.outcomes} == {name: v["mean"] for name, v in got.items()}
 
 
+def test_run_experiment_walks_the_threshold_rule_once_per_objective(monkeypatch):
+    walks = []
+    real = multistop.simulation.rule_claim_years
+
+    def counting(batch, table, rule):
+        walks.append((batch.objective, rule.kind))
+        return real(batch, table, rule)
+
+    monkeypatch.setattr(multistop.simulation, "rule_claim_years", counting)
+    report = run_experiment("alp-study", seed=3, n_scenarios=300)
+    assert [obj for obj, kind in walks if kind == "optimal"] == [GLOBAL, LOCAL]
+    assert "price_proxy" in report["objectives"][GLOBAL]
+
+
 @pytest.mark.parametrize("preset", ["pap-study", "ilp-study"])
 def test_run_experiment_accepts_a_lowercase_policy_kind(preset):
     upper = preset_config(preset)
