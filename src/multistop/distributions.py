@@ -146,9 +146,15 @@ def _ig_pdf(x, mu, lam):
     out = np.zeros(x.shape)
     pos = (x > 0) & np.isfinite(x)
     xp, mp, lp = x[pos], mu[pos], lam[pos]
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scale = lp / (2.0 * np.pi * xp**3)
         expo = -lp * (xp - mp) ** 2 / (2.0 * mp**2 * xp)
+        # inf/inf or 0/0 where the square or mu**2 leaves the range; the
+        # rearranged exponent stays in range there
+        bad = np.isnan(expo)
+        if bad.any():
+            xb, mb = xp[bad], mp[bad]
+            expo[bad] = -(lp[bad] / (2.0 * xb)) * ((xb - mb) / mb) ** 2
     with np.errstate(invalid="ignore"):  # inf * 0 where the scale overflows
         dens = np.sqrt(scale) * np.exp(expo)
     # at tiny x, x**3 underflows and the scale overflows; there the density is

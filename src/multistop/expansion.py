@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import gammainc, gammaincinv, gammaln
 
 from .stopping import StopLossGain
@@ -84,45 +83,44 @@ def lognormal_raw_moments(mu: float, sigma: float):
     return [math.exp(j * mu + 0.5 * j * j * sigma * sigma) for j in (1, 2, 3, 4)]
 
 
-_LAGUERRE_MAX = 4
+def _laguerre_coeffs(n: int, a: float, deriv: bool = False) -> list:
+    """Power-basis coefficients of ``L_n``, or of its derivative, highest first:
+    ``c_j = (-1)^(n-j) C(n, j) (a+n-1)(a+n-2)...(a+j)``, times ``j`` for the
+    derivative."""
+    return [
+        (-1) ** (n - j)
+        * math.prod([math.comb(n, j) * (j if deriv else 1), *(a + i for i in range(n - 1, j - 1, -1))])
+        for j in range(n, int(deriv) - 1, -1)
+    ]
+
+
+def _laguerre_sum(n: int, a: float, u, deriv: bool = False):
+    # sum(c_j u**j) from the highest power down, in the order of the
+    # hand-expanded polynomials, so every value keeps their bits
+    u = np.asarray(u, dtype=float)
+    c = _laguerre_coeffs(n, a, deriv)
+    terms = [cj * u ** (len(c) - 1 - k) for k, cj in enumerate(c)]
+    out = sum(terms[1:], terms[0])
+    return out if out.ndim else float(out)
 
 
 def laguerre(n: int, a: float, u):
     """Laguerre polynomial ``L_n`` (orthogonal under the Gamma(a,1) kernel),
     in the monic-leading-term convention ``L_n = n! (-1)^n Ltilde_n^(a-1)``."""
-    if not (0 <= n <= _LAGUERRE_MAX):
-        raise ValueError(f"laguerre supports orders 0..{_LAGUERRE_MAX}, got {n}")
-    u = np.asarray(u, dtype=float)
-    if n == 0:
-        out = np.ones_like(u)
-    elif n == 1:
-        out = u - a
-    elif n == 2:
-        out = u**2 - 2 * (a + 1) * u + (a + 1) * a
-    elif n == 3:
-        out = u**3 - 3 * (a + 2) * u**2 + 3 * (a + 2) * (a + 1) * u - (a + 2) * (a + 1) * a
-    else:
-        out = (
-            u**4
-            - 4 * (a + 3) * u**3
-            + 6 * (a + 3) * (a + 2) * u**2
-            - 4 * (a + 3) * (a + 2) * (a + 1) * u
-            + (a + 3) * (a + 2) * (a + 1) * a
-        )
-    return out if out.ndim else float(out)
+    if not (0 <= n <= 4):
+        raise ValueError(f"laguerre supports orders 0..4, got {n}")
+    return _laguerre_sum(n, a, u)
 
 
 def _laguerre_deriv(n: int, a: float, u):
-    u = np.asarray(u, dtype=float)
-    if n == 3:
-        out = 3 * u**2 - 6 * (a + 2) * u + 3 * (a + 2) * (a + 1)
-    elif n == 4:
-        out = 4 * u**3 - 12 * (a + 3) * u**2 + 12 * (a + 3) * (a + 2) * u - 4 * (a + 3) * (
-            a + 2
-        ) * (a + 1)
-    else:
+    if n not in (3, 4):
         raise ValueError(f"derivative only needed for orders 3 and 4, got {n}")
-    return out if out.ndim else float(out)
+    return _laguerre_sum(n, a, u, deriv=True)
+
+
+def _bracket(a: float, a3: float, a4: float, u):
+    """The polynomial factor ``1 + A3 L3 + A4 L4`` multiplying the kernel."""
+    return 1.0 + a3 * laguerre(3, a, u) + a4 * laguerre(4, a, u)
 
 
 def _gamma_pdf(u, shape: float):
@@ -157,7 +155,7 @@ class ExpansionFit:
 
     def bracket(self, u):
         """The polynomial factor ``1 + A3 L3 + A4 L4`` multiplying the kernel."""
-        return 1.0 + self.a3 * laguerre(3, self.a, u) + self.a4 * laguerre(4, self.a, u)
+        return _bracket(self.a, self.a3, self.a4, u)
 
 
 def _coeffs(a: float) -> tuple[float, float, float, float]:
@@ -207,44 +205,34 @@ def approx_pdf(fit: ExpansionFit, z):
 
 
 def _bracket_positivity(a: float, a3: float, a4: float, u_max: float) -> PositivityResult:
-    def bracket(u):
-        return 1.0 + a3 * laguerre(3, a, u) + a4 * laguerre(4, a, u)
-
     # The bracket is a quartic in u; a negative leading coefficient means the
     # density is eventually negative no matter how wide the scan window is.
-    lead = a4
     cubic = a3 - 4.0 * (a + 3.0) * a4
-    if lead < -POSITIVITY_TOL or (abs(lead) <= POSITIVITY_TOL and cubic < -POSITIVITY_TOL):
+    if a4 < -POSITIVITY_TOL or (abs(a4) <= POSITIVITY_TOL and cubic < -POSITIVITY_TOL):
         u_far = max(2.0 * u_max, 10.0)
-        while bracket(u_far) >= 0.0:
+        while (far := _bracket(a, a3, a4, u_far)) >= 0.0:
             u_far *= 2.0
-        return PositivityResult(False, u_violation=u_far, min_value=float(bracket(u_far)))
+        return PositivityResult(False, u_violation=u_far, min_value=float(far))
 
-    if a3 == 0.0 and a4 == 0.0:
-        return PositivityResult(True, min_value=1.0)
-    grid = np.linspace(0.0, u_max, 4001)
-    vals = bracket(grid)
-    best_val = float(np.min(vals))
-    best_u = float(grid[int(np.argmin(vals))])
-    strict = np.nonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:]))[0] + 1
-    for idx in strict:
-        res = minimize_scalar(
-            lambda u: float(bracket(u)),
-            bracket=(grid[idx - 1], grid[idx], grid[idx + 1]),
-            method="brent",
-        )
-        if res.fun < best_val:
-            best_val, best_u = float(res.fun), float(res.x)
+    # the minimum on [0, u_max] sits at an end or at a real critical point;
+    # the real part of every root inside the window is a point worth trying
+    slope = a4 * np.array(_laguerre_coeffs(4, a, deriv=True))
+    slope[1:] += a3 * np.array(_laguerre_coeffs(3, a, deriv=True))
+    roots = np.polynomial.polynomial.polyroots(slope[::-1]).real
+    cand = np.concatenate(([0.0, u_max], roots[(roots > 0.0) & (roots < u_max)]))
+    vals = _bracket(a, a3, a4, cand)
+    i = int(np.argmin(vals))
+    best_val, best_u = float(vals[i]), float(cand[i])
     if best_val < -POSITIVITY_TOL:
         return PositivityResult(False, u_violation=best_u, min_value=best_val)
     return PositivityResult(True, min_value=best_val)
 
 
 def positivity_check(fit: ExpansionFit, u_max: float) -> PositivityResult:
-    """Scan the bracket factor for negative values on (0, u_max].
+    """Exact minimum of the quartic bracket factor over [0, u_max].
 
-    Dense grid plus local refinement of every interior minimum; see
-    :func:`default_scan_limit` for the window the fitter itself uses.
+    It is taken at the window's ends and at the real roots of the bracket's
+    derivative; see :func:`default_scan_limit` for the fitter's own window.
     """
     return _bracket_positivity(fit.a, fit.a3, fit.a4, u_max)
 
@@ -295,25 +283,17 @@ def positivity_boundary(a: float, u_grid) -> PositivityCurve:
 
     Grid points where the linear system degenerates are flagged and skipped.
     """
-    us, m3s, m4s, skipped = [], [], [], []
-    for u in np.asarray(u_grid, dtype=float):
-        if u <= 0:
-            raise ValueError(f"boundary grid values must be positive, got {u}")
-        b1, b2, b3, b1p, b2p, b3p = _beta_system(a, u)
-        if abs(b1) < 1e-14:
-            skipped.append(float(u))
-            continue
+    u = np.asarray(u_grid, dtype=float).ravel()
+    if (u <= 0).any():
+        raise ValueError(f"boundary grid values must be positive, got {u[u <= 0][0]}")
+    b1, b2, b3, b1p, b2p, b3p = _beta_system(a, u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denom = b2p - b1p * b2 / b1
-        if abs(denom) < 1e-14:
-            skipped.append(float(u))
-            continue
         mu4 = (b1p * b3 / b1 - b3p) / denom
         mu3 = -(mu4 * b2 + b3) / b1
-        us.append(float(u))
-        m3s.append(float(mu3))
-        m4s.append(float(mu4))
+    bad = (np.abs(b1) < 1e-14) | (np.abs(denom) < 1e-14)
     return PositivityCurve(
-        u=np.array(us), mu3=np.array(m3s), mu4=np.array(m4s), skipped=tuple(skipped)
+        u=u[~bad], mu3=mu3[~bad], mu4=mu4[~bad], skipped=tuple(u[bad].tolist())
     )
 
 

@@ -301,6 +301,18 @@ def pap_weights(
     return PAPWeights(dmm=dmm, dm=dm, mstar_pmf=mstar)
 
 
+# Gauss-Legendre nodes on (0, attachment): PAP-local's crossing grid and
+# PAP-global's grid of gaps
+_PAP_LOCAL_NODES = 256
+_PAP_GLOBAL_GAPS = 128
+# PAP-global's composite inner grid: Gauss-Legendre nodes per segment,
+# segments per octave of the tail above the attachment, and the ratio of the
+# geometric pieces that grade a call's grid toward x = delta
+_PAP_SEG_NODES = 8
+_PAP_TAIL_PER_OCTAVE = 32
+_PAP_GRADE = 0.5
+
+
 class PapLocalGain(StopLossGain):
     """PAP, local objective: W = -(sum of losses up to the attachment crossing).
 
@@ -312,7 +324,7 @@ class PapLocalGain(StopLossGain):
     below the attachment.
     """
 
-    def __init__(self, lda: LDAModel, attachment: float, n_nodes: int = 256) -> None:
+    def __init__(self, lda: LDAModel, attachment: float) -> None:
         if not (math.isfinite(attachment) and attachment > 0):
             raise ConfigError(f"attachment must be positive, got {attachment}")
         self.lda = lda
@@ -321,12 +333,12 @@ class PapLocalGain(StopLossGain):
         mix = self._mix = lda.mixture()
         self._f_att = mix.cdf(attachment)
 
-        nodes, wts = _leggauss(n_nodes, 0.0, attachment)
+        nodes, wts = _leggauss(_PAP_LOCAL_NODES, 0.0, attachment)
         self._nodes = nodes
         cross = 1.0 - _ig_cdf(attachment - nodes, mu, lam)  # next loss crosses
         # g[q] aggregates, over all crossing indices j >= 2, the sub-density of
         # the retained sum at the node, weighted by P[N >= j].
-        g = np.zeros(n_nodes)
+        g = np.zeros(_PAP_LOCAL_NODES)
         for j in range(2, lda.m_max + 1):
             prev = j - 1
             dens = _ig_pdf(nodes, prev * mu, prev * prev * lam)
@@ -355,14 +367,6 @@ class PapLocalGain(StopLossGain):
         return self._atom + float(np.sum(self._g)) + never
 
 
-# PAP-global's composite inner grid: Gauss-Legendre nodes per segment,
-# segments per octave of the tail above the attachment, and the ratio of the
-# geometric pieces that grade a call's grid toward x = delta
-_PAP_SEG_NODES = 8
-_PAP_TAIL_PER_OCTAVE = 32
-_PAP_GRADE = 0.5
-
-
 class PapGlobalGain(StopLossGain):
     """PAP, global objective: W = sum of losses from the crossing onwards.
 
@@ -383,7 +387,7 @@ class PapGlobalGain(StopLossGain):
 
     local = False
 
-    def __init__(self, lda: LDAModel, attachment: float, n_outer: int = 128) -> None:
+    def __init__(self, lda: LDAModel, attachment: float) -> None:
         if not (math.isfinite(attachment) and attachment > 0):
             raise ConfigError(f"attachment must be positive, got {attachment}")
         self.lda = lda
@@ -392,11 +396,10 @@ class PapGlobalGain(StopLossGain):
         self._mu, self._lam = mu, lam
         self._alpha = lam / mu**2
         m_max = lda.m_max
-        self._m_max = m_max
         mix = lda.mixture()
         self.prob_zero_gain = mix.p0 + float(np.sum(mix.pm * mix.cdf(attachment)))
 
-        nodes, wts = _leggauss(n_outer, 0.0, attachment)
+        nodes, wts = _leggauss(_PAP_GLOBAL_GAPS, 0.0, attachment)
         self._u = attachment - nodes  # gap the crossing loss must exceed
         # h[r, q]: total weight on (pre-crossing sum at node q, r losses after
         # the crossing) = sum_i P[N = i + r + 1] w_q f_{S_i}(node_q)
@@ -405,8 +408,6 @@ class PapGlobalGain(StopLossGain):
             dens = wts * _ig_pdf(nodes, i * mu, i * i * lam)
             for r in range(0, m_max - i):
                 h[r] += mix.pm[i + r] * dens
-        self._h = h
-        self._pr1 = mix.pm  # P[N = r + 1] weights the crossing-first branch
         # effective support bounds: where the crossing-loss density and the
         # largest residual sum's stop-loss transform have fully decayed
         x_hi = max(mu, attachment)
@@ -423,16 +424,16 @@ class PapGlobalGain(StopLossGain):
             y_lin *= 0.5
         self._y_lin = y_lin
 
-        mean = self._reduce(self._psi_mean(self._u), self._psi_mean(np.array([attachment])))
-        super().__init__(mean)
-
-        # the closed-form terms need only each gap's weight summed over r
+        # the closed-form terms need only each gap's weight summed over r; the
+        # gap is the attachment itself, with weight P[N = r + 1], when the
+        # first loss crosses
         r = np.arange(m_max)
         self._gaps = np.append(self._u, attachment)
         self._gap_w = np.append(h.sum(axis=0), mix.pm.sum())
         self._gap_rw = np.append(r @ h, r @ mix.pm)
         self._gap_f = _ig_cdf(self._gaps, mu, lam)
         self._gap_tail_first = mu * (1.0 - _gig_half_cdf(self._gaps, self._alpha, lam))
+        super().__init__(self._gap_terms(0.0))  # E[max{W, 0}] = E[W]
 
         # the composite x grid, H_r on each of its segments for r >= 1, and
         # the nodes with their weights w f_X(x) H_r(x)
@@ -446,16 +447,6 @@ class PapGlobalGain(StopLossGain):
         self._x, wf = self._pieces(cuts[:-1], cuts[1:])
         self._hx = np.repeat(self._seg_h, _PAP_SEG_NODES, axis=1) * wf
         self._rr = np.arange(1, m_max)[:, None]
-
-    def _reduce(self, psi_u: np.ndarray, psi_att: np.ndarray) -> float:
-        return float(np.sum(self._h * psi_u) + np.sum(self._pr1 * psi_att[:, 0]))
-
-    def _psi_mean(self, u: np.ndarray) -> np.ndarray:
-        """``int_u^inf f_X(x) (x + r mu) dx`` for each residual count r."""
-        tail_first = self._mu * (1.0 - _gig_half_cdf(u, self._alpha, self._lam))
-        tail_count = 1.0 - _ig_cdf(u, self._mu, self._lam)
-        r = np.arange(self._m_max)[:, None]
-        return tail_first[None, :] + r * self._mu * tail_count[None, :]
 
     def _pieces(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gauss nodes of the pieces ``(lo, hi)`` and their weights ``w f_X(x)``."""
@@ -515,12 +506,7 @@ class PapGlobalGain(StopLossGain):
 
     def continuous_mass(self) -> float:
         """Quadrature mass of the strictly-positive-gain branches."""
-        tail_u = np.tile(1.0 - _ig_cdf(self._u, self._mu, self._lam), (self._m_max, 1))
-        tail_att = np.tile(
-            1.0 - _ig_cdf(np.array([self.attachment]), self._mu, self._lam),
-            (self._m_max, 1),
-        )
-        return self._reduce(tail_u, tail_att)
+        return float(np.sum(self._gap_w * (1.0 - self._gap_f)))
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         # E[max{W, d}] - d over the positive-gain branches, plus the zero-gain

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from expansion_reference import (
+    reference_bracket_positivity,
+    reference_laguerre,
+    reference_laguerre_deriv,
+    reference_positivity_boundary,
+)
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln
 
 from multistop.expansion import (
+    POSITIVITY_TOL,
     ExpansionFit,
     MomentSet,
     approx_expected_min,
@@ -21,6 +29,14 @@ from multistop.expansion import (
     lognormal_raw_moments,
     positivity_boundary,
     positivity_check,
+)
+from multistop.expansion import (
+    _bracket,
+    _bracket_positivity,
+    _coeffs,
+    _fit_coefficients,
+    _laguerre_coeffs,
+    _laguerre_deriv,
 )
 from multistop.stopping import Horizon, compute_value_table
 
@@ -229,6 +245,98 @@ def test_positivity_check_is_scan_of_bracket():
     assert res.positive and res.min_value >= 0.0
 
 
+# ----------------------------------------------- frozen hand-expanded forms
+
+
+@pytest.mark.parametrize("a", np.geomspace(0.05, 50.0, 9))
+def test_laguerre_and_boundary_are_bit_identical_to_the_hand_expanded_forms(a):
+    rng = np.random.default_rng(5)
+    c3, c4, _, _ = _coeffs(a)
+
+    def b1(u):
+        return c3 * laguerre(3, a, u) - 12.0 * c4 * laguerre(4, a, u)
+
+    # the roots of B1 are where the boundary system degenerates and is skipped
+    coarse = np.linspace(1e-6, 400.0, 40001)
+    vals = b1(coarse)
+    cross = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    degenerate = [brentq(b1, coarse[i], coarse[i + 1], xtol=1e-300) for i in cross]
+    u = np.concatenate(
+        (np.geomspace(1e-6, 400.0, 300), 400.0 - rng.uniform(0.0, 400.0, 300), degenerate)
+    )
+    for n in range(5):
+        assert np.array_equal(laguerre(n, a, u), reference_laguerre(n, a, u))
+        assert laguerre(n, a, 7.3) == reference_laguerre(n, a, 7.3)
+    for n in (3, 4):
+        assert np.array_equal(_laguerre_deriv(n, a, u), reference_laguerre_deriv(n, a, u))
+        assert _laguerre_deriv(n, a, 7.3) == reference_laguerre_deriv(n, a, 7.3)
+    new, old = positivity_boundary(a, u), reference_positivity_boundary(a, u)
+    assert np.array_equal(new.u, old.u)
+    assert np.array_equal(new.mu3, old.mu3)
+    assert np.array_equal(new.mu4, old.mu4)
+    assert new.skipped == old.skipped and len(new.skipped) > 0
+
+
+def test_positivity_boundary_rejects_nonpositive_points_like_the_reference():
+    grid = [2.0, -1.5, 0.0]
+    with pytest.raises(ValueError, match="got -1.5"):
+        positivity_boundary(1.06, grid)
+    with pytest.raises(ValueError, match="got -1.5"):
+        reference_positivity_boundary(1.06, grid)
+
+
+def test_exact_positivity_is_never_above_the_grid_scan():
+    # the exact minimum may sit above the sampled one only by roundoff in the
+    # bracket: 4 ulps of its absolute term sum at the minimum (the largest
+    # seen over 3000 fits was 0.75)
+    rng = np.random.default_rng(17)
+    checked = 0
+    for trial in range(240):
+        a = float(np.exp(rng.uniform(math.log(0.05), math.log(50.0))))
+        u_max = default_scan_limit(a)
+        if trial % 2:
+            # moments close to the double-root curve, where the verdict is tight
+            curve = positivity_boundary(a, [rng.uniform(0.02, 1.0) * u_max])
+            if curve.u.size == 0:
+                continue
+            mu3 = curve.mu3[0] * (1.0 + 1e-3 * rng.normal())
+            mu4 = curve.mu4[0] * (1.0 + 1e-3 * rng.normal())
+        else:
+            mu3 = 2.0 * a * (1.0 + rng.normal())
+            mu4 = (3.0 * a * a + 6.0 * a) * (1.0 + rng.normal())
+        a3, a4 = _fit_coefficients(a, float(mu3), float(mu4))
+        new = _bracket_positivity(a, a3, a4, u_max)
+        old = reference_bracket_positivity(a, a3, a4, u_max)
+        grid = np.linspace(0.0, u_max, 4001)
+        u_star = grid[int(np.argmin(_bracket(a, a3, a4, grid)))]
+        terms = 1.0 + sum(
+            abs(coef) * np.polyval(np.abs(_laguerre_coeffs(n, a)), u_star)
+            for n, coef in ((3, a3), (4, a4))
+        )
+        assert new.min_value <= old.min_value + 4.0 * np.finfo(float).eps * terms
+        if abs(old.min_value + POSITIVITY_TOL) > 1e-9:
+            assert new.positive == old.positive
+        checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("a, u0, m", [(3.0, 8.0, -0.5), (5.0, 12.0, -0.25), (5.0, 12.0, 0.25)])
+def test_positivity_finds_a_known_minimum(a, u0, m):
+    # A3 and A4 chosen so that the bracket has value m and slope 0 at u0
+    lhs = [
+        [laguerre(3, a, u0), laguerre(4, a, u0)],
+        [_laguerre_deriv(3, a, u0), _laguerre_deriv(4, a, u0)],
+    ]
+    a3, a4 = np.linalg.solve(lhs, [m - 1.0, 0.0])
+    u_max = default_scan_limit(a)
+    assert np.min(_bracket(a, a3, a4, np.linspace(0.0, u_max, 100_001))) > m  # global on the window
+    res = _bracket_positivity(a, a3, a4, u_max)
+    assert res.min_value == pytest.approx(m, abs=1e-13)
+    assert res.positive == (m > 0)
+    if m < 0:
+        assert res.u_violation == pytest.approx(u0, rel=1e-13)
+
+
 # ---------------------------------------------------------------- E[min]
 
 
@@ -293,6 +401,39 @@ def test_constrained_refit_projects_to_admissible_curve():
     b1, b2, b3, _, _, _ = b_system(a, refit.u_at_projection)
     resid = refit.moments.mu3 * b1 + refit.moments.mu4 * b2 + b3
     assert abs(resid) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "loss_moments, segment, u_proj, mu3_hex, mu4_hex",
+    [
+        (
+            (3.0, 4.0, 30.0, 400.0),
+            (6.530627429959825, 47.80814123139746),
+            6.530627429959825,
+            "0x1.6cf8545ed09dep+3",
+            "0x1.ccb0a8ad86162p+6",
+        ),
+        (
+            (1.06, 1.06, 2.4, 5.0),
+            (4.809285568345716, 41.796784203131104),
+            31.056984849851744,
+            "0x1.0e86ed6edcafbp+1",
+            "0x1.34fd3aae49ff4p+3",
+        ),
+    ],
+)
+def test_constrained_refit_keeps_the_grid_scan_projection(
+    loss_moments, segment, u_proj, mu3_hex, mu4_hex
+):
+    # the projection lands on the double-root curve, where the bracket's
+    # minimum is 0 in exact arithmetic, so a few ulps in the solved moments
+    # can flip the refit's verdict; these are the values of the grid scan
+    # with Brent refinement that the exact minimum replaced
+    refit = constrained_refit(MomentSet.from_loss_moments(*loss_moments))
+    assert refit.segment == segment
+    assert refit.u_at_projection == u_proj
+    assert refit.moments.mu3.hex() == mu3_hex
+    assert refit.moments.mu4.hex() == mu4_hex
 
 
 def test_moment_set_validation():

@@ -329,6 +329,23 @@ def test_ig_pdf_and_pap_means_at_tiny_arguments_without_warnings():
             assert g - loc == pytest.approx(PAP_LDA.mean_annual_loss, rel=1e-9)
 
 
+@pytest.mark.parametrize("mu, lam", [(1e5, 1e-5), (1e-300, 1.0), (1e-150, 1e-150)])
+def test_ig_pdf_has_no_nan_across_the_float_range(mu, lam):
+    # the exponent is inf/inf where (x - mu)**2 overflows at huge x and 0/0
+    # where mu**2 underflows; the density is finite and nonnegative there
+    x = np.geomspace(1e-310, 1e300, 10**6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = _ig_pdf(x, mu, lam)
+        if mu == 1e-150:
+            # around the mode the density is of order 1e149 and was NaN before
+            for xi in (0.5 * mu, mu, 2.0 * mu, 10.0 * mu):
+                expected = _decimal_ig_pdf(xi, mu, lam)
+                assert _ig_pdf(xi, mu, lam) == pytest.approx(expected, rel=1e-11)
+    assert not np.isnan(dens).any()
+    assert not (dens < 0.0).any()
+
+
 # ---------------------------------------------------------------- ILP local
 
 
