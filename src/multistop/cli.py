@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands, each taking only the flags it reads::
 
     value-table   write the value recursion and claim thresholds as CSV
     advise        interactive year-by-year claim/wait advisor
@@ -8,8 +8,12 @@ Subcommands::
     approx        fit the Gamma-Laguerre expansion, write fit.json + boundary.csv
     validate      run the quick internal consistency suite
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Errors
-are emitted as one JSON object on stderr so callers can parse them.
+``value-table`` and ``advise`` share one path: the config of ``--config`` or
+``--preset``, the flags over it, then its model and value table.
+
+Exit codes: 0 success, 2 configuration error (a usage error included), 3
+numerical failure.  Errors are emitted as one JSON object on stderr so
+callers can parse them.
 """
 
 from __future__ import annotations
@@ -19,18 +23,26 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from copy import deepcopy
 
 import numpy as np
 
 from . import expansion
 from .distributions import NumericalError
 from .experiments import preset_config, run_experiment
-from .policies import GLOBAL, LOCAL, ConfigError, gain_model_from_config, load_config
+from .policies import (
+    GLOBAL,
+    LOCAL,
+    ConfigError,
+    gain_model_from_config,
+    horizon_from_config,
+    lda_from_config,
+    load_config,
+    policy_from_config,
+)
 from .simulation import simulate_batch
 from .stopping import (
     Decision,
-    Horizon,
     StoppingState,
     ValueTable,
     compute_value_table,
@@ -47,55 +59,38 @@ VALUE_TABLE_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: model config plus horizon and output directory."""
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, which main() reports as JSON."""
 
-    model: dict
-    horizon: Horizon
-    out_dir: str | None
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _emit_error(code: int, kind: str, message: str) -> None:
     print(json.dumps({"error": {"code": code, "type": kind, "message": message}}), file=sys.stderr)
 
 
-def _resolve_model_config(args) -> dict:
+def _model_and_table(args):
+    """The model named by --config or --preset with the flags applied, its horizon and table."""
     if args.config:
         cfg = load_config(args.config)
-    elif args.preset:
-        if args.preset in VALUE_TABLE_PRESETS:
-            cfg = json.loads(json.dumps(VALUE_TABLE_PRESETS[args.preset]))
-        else:
-            cfg = preset_config(args.preset)
+    elif args.preset in VALUE_TABLE_PRESETS:
+        cfg = deepcopy(VALUE_TABLE_PRESETS[args.preset])
     else:
-        raise ConfigError("provide --config PATH or --preset NAME")
+        cfg = preset_config(args.preset)
     if args.horizon_T is not None:
         cfg.setdefault("horizon", {})["T"] = args.horizon_T
     if args.horizon_k is not None:
         cfg.setdefault("horizon", {})["k"] = args.horizon_k
     if args.objective:
         cfg["objective"] = args.objective
-    if "objective" not in cfg:
-        objectives = cfg.get("objectives")
-        if not objectives:
-            raise ConfigError("config must set an objective")
-        cfg["objective"] = objectives[0]
+    elif "objective" not in cfg and cfg.get("objectives"):
+        cfg["objective"] = cfg["objectives"][0]
     if args.seed is not None:
         cfg.setdefault("mc", {})["seed"] = args.seed
-    return cfg
-
-
-def resolve_run_config(args) -> RunConfig:
-    cfg = _resolve_model_config(args)
-    return RunConfig(model=cfg, horizon=_horizon(cfg), out_dir=args.out)
-
-
-def _horizon(cfg: dict) -> Horizon:
-    hz = cfg.get("horizon")
-    if not hz:
-        raise ConfigError("config must carry a horizon: {\"T\": ..., \"k\": ...}")
-    return Horizon(T=int(hz["T"]), k=int(hz["k"]))
+    horizon = horizon_from_config(cfg)
+    model = gain_model_from_config(cfg)
+    return model, horizon, compute_value_table(model, horizon)
 
 
 def _write_thresholds_csv(table: ValueTable, path: str) -> None:
@@ -111,28 +106,21 @@ def _write_thresholds_csv(table: ValueTable, path: str) -> None:
 
 
 def cmd_value_table(args) -> int:
-    run = resolve_run_config(args)
-    model = gain_model_from_config(run.model)
-    horizon = run.horizon
-    table = compute_value_table(model, horizon)
-    out = run.out_dir or "."
-    os.makedirs(out, exist_ok=True)
-    table_path = os.path.join(out, "table.csv")
-    thr_path = os.path.join(out, "thresholds.csv")
+    _, _, table = _model_and_table(args)
+    os.makedirs(args.out, exist_ok=True)
+    table_path = os.path.join(args.out, "table.csv")
+    thr_path = os.path.join(args.out, "thresholds.csv")
     table.to_csv(table_path)
     _write_thresholds_csv(table, thr_path)
-    print(f"value table (T={horizon.T}, k={horizon.k}): v = {table.game_value:.4f}")
+    print(f"value table (T={table.T}, k={table.k}): v = {table.game_value:.4f}")
     print(f"wrote {table_path} and {thr_path}")
     return 0
 
 
 def cmd_advise(args) -> int:
-    run = resolve_run_config(args)
-    model = gain_model_from_config(run.model)
-    horizon = run.horizon
-    table = compute_value_table(model, horizon)
-    local_losses = args.raw_loss and run.model["objective"] == LOCAL
-    to_gain = (lambda x: -x) if local_losses else (lambda x: x)
+    model, horizon, table = _model_and_table(args)
+    # a local gain is a negated loss
+    to_gain = (lambda x: -x) if args.raw_loss and model.local else (lambda x: x)
     claims: list[int] = []
     print(f"advisor ready: T={horizon.T} years, k={horizon.k} rights. ctrl-d to stop.")
     for year in range(1, horizon.T + 1):
@@ -174,8 +162,6 @@ def _read_line(prompt: str) -> str | None:
 
 
 def cmd_experiment(args) -> int:
-    if not args.preset:
-        raise ConfigError("experiment requires --preset NAME")
     out = args.out or f"./{args.preset}-out"
     report = run_experiment(
         args.preset, out_dir=out, seed=args.seed, n_scenarios=args.samples
@@ -212,13 +198,7 @@ def _moments_from_config(cfg: dict) -> expansion.MomentSet:
     if kind == "policy":
         n = int(src.get("samples", 200_000))
         seed = int(src.get("seed", 0))
-        from .policies import PolicySpec, lda_from_config
-
-        policy = PolicySpec(
-            kind=str(src["policy"]["kind"]).upper(),
-            param=float(src["policy"]["param"]),
-            objective=LOCAL,
-        )
+        policy = policy_from_config({**src, "objective": LOCAL})
         batch = simulate_batch(lda_from_config(src), policy, 1, n, seed)
         draws = batch.z_tilde[:, 0]
         if float(np.var(draws)) <= 0:
@@ -228,8 +208,6 @@ def _moments_from_config(cfg: dict) -> expansion.MomentSet:
 
 
 def cmd_approx(args) -> int:
-    if not args.config:
-        raise ConfigError("approx requires --config PATH")
     cfg = load_config(args.config)
     moments = _moments_from_config(cfg)
     fit = expansion.fit_expansion(moments)
@@ -255,14 +233,13 @@ def cmd_approx(args) -> int:
         fit_for_curve = refit.fit
     else:
         fit_for_curve = fit
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "fit.json"), "w", encoding="utf-8") as fh:
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "fit.json"), "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
     u_hi = expansion.default_scan_limit(fit_for_curve.a)
     grid = np.linspace(u_hi / 400.0, u_hi, 400)
     curve = expansion.positivity_boundary(fit_for_curve.a, grid)
-    with open(os.path.join(out, "boundary.csv"), "w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "boundary.csv"), "w", newline="", encoding="utf-8") as fh:
         import csv as _csv
 
         writer = _csv.writer(fh)
@@ -271,7 +248,7 @@ def cmd_approx(args) -> int:
             writer.writerow([f"{u:.8f}", f"{m3:.8f}", f"{m4:.8f}"])
     verdict = "positive" if fit.positivity.positive else "violated"
     print(f"fit: a={fit.a:.4f} b={fit.b:.4f} A3={fit.a3:.3e} A4={fit.a4:.3e} [{verdict}]")
-    print(f"wrote fit.json and boundary.csv under {out}")
+    print(f"wrote fit.json and boundary.csv under {args.out}")
     return 0
 
 
@@ -307,27 +284,29 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multistop",
         description="Optimal timing of k insurance claims over a T-year horizon.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="path to a JSON model config")
-        p.add_argument("--preset", help="named preset", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", help="output directory", default=None)
-        p.add_argument("--objective", choices=[LOCAL, GLOBAL], default=None)
-        p.add_argument("--horizon-T", type=int, dest="horizon_T", default=None)
-        p.add_argument("--horizon-k", type=int, dest="horizon_k", default=None)
+    # the flags of the two subcommands that build a model and its value table
+    model = argparse.ArgumentParser(add_help=False)
+    source = model.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a JSON model config")
+    source.add_argument("--preset", help="named preset")
+    model.add_argument("--seed", type=int, help="seed of the ILP-global offline sample")
+    model.add_argument("--objective", choices=[LOCAL, GLOBAL])
+    model.add_argument("--horizon-T", type=int, dest="horizon_T")
+    model.add_argument("--horizon-k", type=int, dest="horizon_k")
 
-    p_table = sub.add_parser("value-table", help="write value table and thresholds CSVs")
-    common(p_table)
+    p_table = sub.add_parser(
+        "value-table", parents=[model], help="write value table and thresholds CSVs"
+    )
+    p_table.add_argument("--out", default=".", help="output directory")
     p_table.set_defaults(func=cmd_value_table)
 
-    p_advise = sub.add_parser("advise", help="interactive claim/wait advisor")
-    common(p_advise)
+    p_advise = sub.add_parser("advise", parents=[model], help="interactive claim/wait advisor")
     p_advise.add_argument(
         "--raw-loss",
         action="store_true",
@@ -336,24 +315,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.set_defaults(func=cmd_advise)
 
     p_exp = sub.add_parser("experiment", help="run a rule-comparison study")
-    common(p_exp)
-    p_exp.add_argument("--samples", type=int, default=None, help="override scenario count (at least 2)")
+    p_exp.add_argument("--preset", required=True, help="study preset")
+    p_exp.add_argument("--seed", type=int, help="override the preset's seed")
+    p_exp.add_argument("--samples", type=int, help="override scenario count (at least 2)")
+    p_exp.add_argument("--out", help="output directory (default ./PRESET-out)")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_approx = sub.add_parser("approx", help="Gamma-Laguerre density fit utilities")
-    common(p_approx)
+    p_approx.add_argument("--config", required=True, help="path to a JSON approx config")
+    p_approx.add_argument("--out", default=".", help="output directory")
     p_approx.set_defaults(func=cmd_approx)
 
     p_val = sub.add_parser("validate", help="run the quick consistency suite")
-    common(p_val)
     p_val.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         _emit_error(2, "config", str(exc))

@@ -327,14 +327,18 @@ def poisson_sf(m: int, freq: FrequencyModel) -> float:
     return float(max(0.0, 1.0 - np.sum(poisson_pmf(ms, freq))))
 
 
-def poisson_m_max(freq: FrequencyModel, tail: float = 1e-10) -> int:
-    """Smallest count with ``P[N >= m] < tail``, floored at rate + 10 sqrt(rate).
+# the count probability a truncated Poisson sum may drop
+POISSON_TAIL = 1e-10
 
-    Cutting the count at ``m`` then drops less than ``tail`` of the
+
+def poisson_m_max(freq: FrequencyModel) -> int:
+    """Smallest count with ``P[N >= m] < POISSON_TAIL``, floored at rate + 10 sqrt(rate).
+
+    Cutting the count at ``m`` then drops less than ``POISSON_TAIL`` of the
     probability and, since ``E[N; N > m] = rate P[N >= m]``, of the mean.
     """
     m = int(math.ceil(freq.rate + 10.0 * math.sqrt(freq.rate)))
-    while poisson_sf(m - 1, freq) >= tail:
+    while poisson_sf(m - 1, freq) >= POISSON_TAIL:
         m += 1
     return m
 

@@ -31,6 +31,8 @@ from .stopping import StopLossGain
 
 _KERNEL_MASS_TAIL = 1e-12
 POSITIVITY_TOL = 1e-12
+# Points of constrained_refit's scan along the double-root curve.
+_REFIT_SCAN = 400
 
 
 @dataclass(frozen=True)
@@ -382,7 +384,7 @@ def _curve_point_admissible(a: float, u: float) -> bool:
     return res.positive or res.min_value > -1e-8
 
 
-def constrained_refit(moments: MomentSet, n_scan: int = 400) -> RefitResult:
+def constrained_refit(moments: MomentSet) -> RefitResult:
     """Project out-of-region moments onto the admissible boundary segment.
 
     The double-root curve is scanned in ``u``; the admissible segment (where
@@ -392,7 +394,7 @@ def constrained_refit(moments: MomentSet, n_scan: int = 400) -> RefitResult:
     """
     a = moments.mean**2 / moments.variance
     u_hi = default_scan_limit(a)
-    us = np.linspace(u_hi / n_scan, u_hi, n_scan)
+    us = np.linspace(u_hi / _REFIT_SCAN, u_hi, _REFIT_SCAN)
     flags = np.array([_curve_point_admissible(a, float(u)) for u in us])
     if not flags.any():
         raise ValueError("no admissible boundary segment found; widen the scan")
@@ -414,7 +416,7 @@ def constrained_refit(moments: MomentSet, n_scan: int = 400) -> RefitResult:
     if ok_idx[-1] < len(us) - 1:
         hi = refine(hi, float(us[ok_idx[-1] + 1]))
 
-    seg_u = np.linspace(lo, hi, max(2 * n_scan, 100))
+    seg_u = np.linspace(lo, hi, 2 * _REFIT_SCAN)
     curve = positivity_boundary(a, seg_u)
     physical = curve.mu4 > 0  # the solved system can leave the moment cone
     if not physical.any():

@@ -22,14 +22,13 @@ from .policies import (
     GLOBAL,
     LOCAL,
     ConfigError,
-    PolicySpec,
-    aux_from_config,
     gain_model_from_config,
-    lda_from_config,
+    horizon_from_config,
+    policy_choice,
+    policy_from_config,
 )
 from .simulation import (
     STREAMS,
-    ScenarioBatch,
     _claim_year_tally,
     _mean_claimed_gain,
     compare_rules,
@@ -38,7 +37,7 @@ from .simulation import (
     simulate_aux_local_batch,
     simulate_batch,
 )
-from .stopping import Horizon, compute_value_table
+from .stopping import compute_value_table
 
 # The aggregate-cap study uses the larger scenario count; the attachment and
 # per-loss-cap studies run at the smaller one.  The attachment level of the
@@ -81,14 +80,6 @@ def preset_config(name: str) -> dict:
     return deepcopy(EXPERIMENT_PRESETS[name])
 
 
-def _batch_for(cfg: dict, kind: str, objective: str, n_scenarios: int, seed: int) -> ScenarioBatch:
-    T = int(cfg["horizon"]["T"])
-    if kind == "ILP":
-        return simulate_aux_local_batch(aux_from_config(cfg), T, n_scenarios, seed)
-    policy = PolicySpec(kind=kind, param=float(cfg["policy"]["param"]), objective=objective)
-    return simulate_batch(lda_from_config(cfg), policy, T, n_scenarios, seed)
-
-
 def run_experiment(
     preset: str | dict,
     out_dir: str | os.PathLike | None = None,
@@ -98,14 +89,12 @@ def run_experiment(
     """Run one study and (optionally) write report.json / hist.csv / triples.csv."""
     cfg = preset_config(preset) if isinstance(preset, str) else deepcopy(preset)
     name = preset if isinstance(preset, str) else cfg.get("name", "custom")
-    horizon = Horizon(T=int(cfg["horizon"]["T"]), k=int(cfg["horizon"]["k"]))
+    horizon = horizon_from_config(cfg)
     n_sim = int(cfg["mc"]["samples"] if n_scenarios is None else n_scenarios)
     if n_sim < 2:
         raise ConfigError(f"a study needs at least 2 scenarios for its standard errors, got {n_sim}")
     run_seed = int(seed if seed is not None else cfg["mc"]["seed"])
     det_years = cfg.get("deterministic_years", [1, horizon.T // 2 + 1, horizon.T])
-    kind = str(cfg["policy"]["kind"]).upper()
-    lda = lda_from_config(cfg) if kind != "ILP" else None
 
     report: dict = {
         "preset": name,
@@ -117,22 +106,28 @@ def run_experiment(
         "objectives": {},
     }
     reports = {}
-    batch = None
-    for objective in cfg["objectives"]:
+    lda = batch = None
+    for given in cfg["objectives"]:
+        run_cfg = {**cfg, "objective": given}
+        kind, objective = policy_choice(run_cfg)
         if kind == "ILP" and objective != LOCAL:
             raise ConfigError("the ILP study runs under the local objective only")
-        model = gain_model_from_config({**cfg, "objective": objective})
+        model = gain_model_from_config(run_cfg)
         table = compute_value_table(model, horizon)
         # one (Z, Zt) panel per study: the objectives share its seed
-        if batch is None:
-            batch = _batch_for(cfg, kind, objective, n_sim, run_seed)
-        elif kind != "ILP":  # the ILP aux batch is local whatever the objective
+        if batch is not None:
             batch = batch.with_objective(objective)
+        elif kind == "ILP":
+            batch = simulate_aux_local_batch(model.aux, horizon.T, n_sim, run_seed)
+        else:
+            lda = model.lda
+            batch = simulate_batch(lda, policy_from_config(run_cfg), horizon.T, n_sim, run_seed)
         rules = default_rules(det_years)
         rr = compare_rules(batch, table, rules, horizon.k, lda=lda)
         # the threshold rule's claim years, walked once for the tally and the proxy
         taus = rr.outcome("optimal").taus
         triples = _claim_year_tally(taus)
+        p_values = {other: rr.paired_pvalue(other) for other in ("deterministic", "random", "average")}
         entry = {
             "game_value": table.game_value,
             "reference_solid": rr.reference_solid,
@@ -140,11 +135,8 @@ def run_experiment(
                 out.name: {"mean": out.mean, "stderr": out.stderr} for out in rr.outcomes
             },
             "optimal_beats": {
-                other: {
-                    "p_value": rr.paired_pvalue(other),
-                    "significant_1pct": rr.paired_pvalue(other) < 0.01,
-                }
-                for other in ("deterministic", "random", "average")
+                other: {"p_value": p, "significant_1pct": p < 0.01}
+                for other, p in p_values.items()
             },
             "deterministic_years": list(det_years),
             "triples": [
@@ -156,12 +148,11 @@ def run_experiment(
             entry["price_proxy"] = _mean_claimed_gain(batch, taus)
         report["objectives"][objective] = entry
         reports[objective] = (rr, triples, batch)
-    if kind == "ALP" and lda is not None:
-        cap = float(cfg["policy"]["param"])
-        first_batch = reports[cfg["objectives"][0]][2]
+    if batch is not None and batch.kind == "ALP":
+        # every objective's batch shares the first one's (Z, Zt) panel
         report["p_exceed_cap"] = {
-            "empirical": float(np.mean(first_batch.z > cap)),
-            "analytic": exceedance_probability(lda, cap),
+            "empirical": float(np.mean(batch.z > batch.param)),
+            "analytic": exceedance_probability(lda, batch.param),
         }
     if out_dir is not None:
         write_outputs(report, reports, out_dir)

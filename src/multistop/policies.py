@@ -34,6 +34,7 @@ from scipy import integrate
 
 from .distributions import (
     DEFAULT_QUAD,
+    POISSON_TAIL,
     FrequencyModel,
     CompoundIG,
     IGParams,
@@ -51,8 +52,6 @@ from .stopping import Horizon, StopLossGain, compute_value_table, lognormal_loca
 Objective = Literal["local", "global"]
 LOCAL: Objective = "local"
 GLOBAL: Objective = "global"
-
-POISSON_TAIL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -73,7 +72,7 @@ class LDAModel:
 
     def __post_init__(self) -> None:
         if self.m_max == 0:
-            object.__setattr__(self, "m_max", poisson_m_max(self.frequency, POISSON_TAIL))
+            object.__setattr__(self, "m_max", poisson_m_max(self.frequency))
         elif poisson_sf(self.m_max - 1, self.frequency) >= POISSON_TAIL:
             raise ConfigError(
                 f"m_max={self.m_max} leaves P[N >= m_max] >= {POISSON_TAIL:g} "
@@ -541,7 +540,7 @@ class IlpLocalGain(StopLossGain):
     def __init__(self, aux: ILPAuxModel) -> None:
         self.aux = aux
         freq = FrequencyModel(rate=aux.aux_rate)
-        self._mix = CompoundIG(freq, aux.aux_severity, poisson_m_max(freq, POISSON_TAIL))
+        self._mix = CompoundIG(freq, aux.aux_severity, poisson_m_max(freq))
         super().__init__(-aux.aux_rate * aux.aux_severity.mu)
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
@@ -682,13 +681,27 @@ def lda_from_config(cfg: dict) -> LDAModel:
     return LDAModel(frequency=frequency, severity=severity, m_max=m_max)
 
 
+def policy_choice(cfg: dict) -> tuple[str, str]:
+    """The config's policy ``kind`` upper-cased and its ``objective`` lower-cased.
+
+    The one reader of the two strings, so that ``"pap"`` and ``"GLOBAL"``
+    select what ``"PAP"`` and ``"global"`` do everywhere a config is read.
+    """
+    kind = str(_require(_require(cfg, "policy"), "kind")).upper()
+    return kind, str(_require(cfg, "objective")).lower()
+
+
 def policy_from_config(cfg: dict) -> PolicySpec:
-    pol = _require(cfg, "policy")
-    return PolicySpec(
-        kind=str(_require(pol, "kind")).upper(),
-        param=float(_require(pol, "param")),
-        objective=str(_require(cfg, "objective")).lower(),
-    )
+    kind, objective = policy_choice(cfg)
+    return PolicySpec(kind=kind, param=float(_require(cfg["policy"], "param")), objective=objective)
+
+
+def horizon_from_config(cfg: dict) -> Horizon:
+    """The ``{"horizon": {"T": ..., "k": ...}}`` entry of a config."""
+    hz = cfg.get("horizon")
+    if not hz:
+        raise ConfigError("config must carry a horizon: {\"T\": ..., \"k\": ...}")
+    return Horizon(T=int(_require(hz, "T")), k=int(_require(hz, "k")))
 
 
 def aux_from_config(cfg: dict) -> ILPAuxModel:
@@ -722,8 +735,7 @@ def gain_model_from_config(cfg: dict):
     if "gamma" in cfg:
         gm = cfg["gamma"]
         return gamma_local_model(float(gm["shape"]), float(gm["rate"]))
-    kind = str(_require(_require(cfg, "policy"), "kind")).upper()
-    if kind == "ILP" and str(_require(cfg, "objective")).lower() == LOCAL:
+    if policy_choice(cfg) == ("ILP", LOCAL):
         return ilp_local_model(aux_from_config(cfg))
     policy = policy_from_config(cfg)
     if policy.kind != "ILP":
@@ -741,6 +753,9 @@ def gain_model_from_config(cfg: dict):
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: a config is a JSON object, got {type(cfg).__name__}")
+    return cfg

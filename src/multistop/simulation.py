@@ -55,6 +55,8 @@ _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario 
 _BLOCK = 1024
 # Names the stream contract of the module docstring in run reports.
 STREAMS = f"block{_BLOCK}-poisson-normal-uniform"
+# Shared histogram bins of a rule comparison, over all rules' outcomes.
+_HIST_BINS = 60
 
 
 @dataclass(frozen=True)
@@ -305,7 +307,6 @@ def compare_rules(
     rules: Iterable[ComparisonRule],
     k: int,
     lda: LDAModel | None = None,
-    n_bins: int = 60,
 ) -> RuleReport:
     """Replay each rule on the batch and histogram the realized objectives."""
     if k != table.k:
@@ -317,7 +318,7 @@ def compare_rules(
         taus = rule_claim_years(batch, table, rule)
         per_rule.append((rule.kind, taus, objective_values(batch, taus)))
     all_vals = np.concatenate([v for _, _, v in per_rule])
-    edges = np.histogram_bin_edges(all_vals, bins=n_bins)
+    edges = np.histogram_bin_edges(all_vals, bins=_HIST_BINS)
     outcomes = tuple(
         RuleOutcome(
             name=name,

@@ -166,6 +166,27 @@ def test_advise_raw_loss_mode(monkeypatch, capsys):
     assert "claims made in years: [1, 2, 4, 7]" in out
 
 
+@pytest.mark.parametrize("objective", ["local", "LOCAL"])
+def test_advise_raw_loss_sign_follows_the_built_model(tmp_path, monkeypatch, capsys, objective):
+    # the config's objective is read once, by the model; its case is not the sign
+    cfg = {
+        "lognormal": {"mu": 0.0, "sigma": 1.0},
+        "objective": objective,
+        "horizon": {"T": 7, "k": 4},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    feed = "\n".join(["0.57", "0.79", "4.75", "1.07", "1.14", "5.56", "1.59"]) + "\n"
+    code, out, _ = run_cli(
+        ["advise", "--config", str(cfg_path), "--raw-loss"],
+        stdin_text=feed,
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    assert "claims made in years: [1, 2, 4, 7]" in out
+
+
 # ---------------------------------------------------------------- experiment
 
 
@@ -310,6 +331,41 @@ def test_validate_failure_maps_to_numerical_exit(monkeypatch, capsys):
     assert json.loads(err.strip())["error"]["type"] == "numerical"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--preset", "ilp-study", "--horizon-T", "20"],
+        ["experiment", "--preset", "ilp-study", "--samples", "abc"],
+        ["value-table", "--preset", "lognormal", "--objective", "sideways"],
+        ["advise", "--preset", "lognormal", "--out", "."],
+        ["value-table", "--config", "model.json", "--preset", "lognormal"],
+        ["value-table"],
+        ["approx", "--config", "approx.json", "--seed", "1"],
+        ["validate", "--seed", "1"],
+    ],
+)
+def test_usage_errors_are_json_config_errors(tmp_path, monkeypatch, capsys, argv):
+    # a flag the subcommand does not read, a bad value, or not exactly one model source
+    monkeypatch.chdir(tmp_path)
+    approx = {"source": {"kind": "gamma", "shape": 2.5, "rate": 0.8}}
+    model = {
+        "lognormal": {"mu": 0.0, "sigma": 1.0},
+        "objective": "local",
+        "horizon": {"T": 3, "k": 2},
+    }
+    (tmp_path / "approx.json").write_text(json.dumps(approx))
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == 2 and error["type"] == "config"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["approx.json", "model.json"]
+
+
 def test_bad_json_config_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -317,3 +373,13 @@ def test_bad_json_config_is_a_config_error(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert json.loads(err.strip())["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("command", ["value-table", "approx"])
+def test_non_object_json_config_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(err.strip())["error"]["type"] == "config"

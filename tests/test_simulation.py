@@ -207,11 +207,20 @@ def test_run_experiment_walks_the_threshold_rule_once_per_objective(monkeypatch)
 
 @pytest.mark.parametrize("preset", ["pap-study", "ilp-study"])
 def test_run_experiment_accepts_a_lowercase_policy_kind(preset):
+    # and upper-case objectives: both strings are read in any case
     upper = preset_config(preset)
-    lower = preset_config(preset)
-    lower["policy"]["kind"] = upper["policy"]["kind"].lower()
+    recased = preset_config(preset)
+    recased["policy"]["kind"] = upper["policy"]["kind"].lower()
+    recased["objectives"] = [objective.upper() for objective in upper["objectives"]]
     expected = run_experiment(upper, seed=5, n_scenarios=200)
-    assert json.dumps(run_experiment(lower, seed=5, n_scenarios=200)) == json.dumps(expected)
+    assert json.dumps(run_experiment(recased, seed=5, n_scenarios=200)) == json.dumps(expected)
+
+
+def test_run_experiment_without_a_horizon_is_a_config_error():
+    cfg = preset_config("ilp-study")
+    del cfg["horizon"]
+    with pytest.raises(ConfigError, match="horizon"):
+        run_experiment(cfg, seed=5, n_scenarios=200)
 
 
 # ---------------------------------------------------------------- rules
