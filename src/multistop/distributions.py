@@ -13,19 +13,29 @@ is built on the primitives here:
 * partial (stop-loss style) expectations of IG sums, which reduce to GIG
   CDFs of order +1/2.
 
-The IG CDF uses the normal-CDF closed form; ``gig_cdf`` integrates the
-density with an exponential substitution and serves as the independent
-quadrature route against which the closed forms are validated.
+One kernel, ``_ig_tails``, evaluates every closed form.  For S ~ IG(M, lam)
+at ``y``, with ``a = sqrt(lam/y) (y/M - 1)`` and
+``e = exp(2 lam/M) Phi(-sqrt(lam/y) (y/M + 1))``, the CDF ``F`` and the
+GIG(+1/2) CDF ``G`` (the lower partial mean is ``E[S; S <= y] = M G``) are
+
+* ``F = Phi(a) + e`` and ``1 - F = Phi(-a) - e``;
+* ``G = Phi(a) - e`` and ``1 - G = Phi(-a) + e``.
+
+The kernel returns all four from one shared evaluation, each in the form
+that keeps a small value to full relative precision, so survival values and
+upper partial means are never taken as ``1 -`` a rounded CDF.  ``gig_cdf``
+integrates the density with an exponential substitution and serves as the
+independent quadrature route against which the closed forms are validated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, log_ndtr, ndtr
+from scipy.special import erfcx, gammaln
 
 
 class NumericalError(RuntimeError):
@@ -113,6 +123,8 @@ def bessel_k(p: float, z: float) -> float:
         raise ValueError(f"bessel_k requires z > 0, got z={z}")
     if abs(abs(p) - 0.5) < _HALF_ORDER_TOL:
         return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
+    # imported on use: scipy.integrate pulls in scipy.optimize and scipy.sparse
+    from scipy import integrate
 
     ap = abs(p)
 
@@ -166,39 +178,62 @@ def _ig_pdf(x, mu, lam):
     return out
 
 
+def _ig_tails(x, mu, lam):
+    """``F``, ``1 - F``, ``G`` and ``1 - G`` of IG(mu, lam) at ``x``.
+
+    The identities are in the module docstring, where ``e = exp(2 lam/mu)
+    Phi(-b)`` with ``b = sqrt(lam/x) (x/mu + 1)``.  Since ``b^2 - a^2 =
+    4 lam/mu``, both ``Phi(-|a|)`` and ``e`` are ``exp(-a^2/2) / 2`` times an
+    ``erfcx`` in (0, 1], so one ``exp`` and two ``erfcx`` serve all four
+    outputs with no overflow.  No output is formed
+    as ``1 -`` another, and the difference ``Phi(-|a|) - e`` (``1 - F`` for
+    ``a >= 0``, ``G`` for ``a < 0``) is taken inside the common factor, so a
+    tail far below 1e-16 keeps its relative precision.  ``x <= 0`` gives
+    ``(0, 1, 0, 1)`` and ``x = inf`` ``(1, 0, 1, 0)``, exactly.
+    """
+    x, mu, lam = (np.asarray(v, dtype=float) for v in (x, mu, lam))
+    inside = (x > 0) & (x < np.inf)
+    if inside.all():
+        return _ig_tails_inside(x, mu, lam)
+    x, mu, lam, inside = np.broadcast_arrays(x, mu, lam, inside)
+    cdf = (x == np.inf).astype(float)
+    tails = (cdf, 1.0 - cdf, cdf.copy(), 1.0 - cdf)
+    if inside.any():
+        for out, val in zip(tails, _ig_tails_inside(x[inside], mu[inside], lam[inside])):
+            out[inside] = val
+    return tails
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ig_tails_inside(x, mu, lam):
+    s = np.sqrt(lam) / np.sqrt(x)  # split to survive subnormal x
+    r = x / mu
+    a = s * (r - 1.0)
+    with np.errstate(over="ignore"):  # a^2 overflows at subnormal x, where g is 0
+        g = 0.5 * np.exp(-0.5 * a * a)
+    ca = erfcx(_SQRT_HALF * np.abs(a))
+    cb = erfcx(_SQRT_HALF * s * (r + 1.0))
+    small = g * ca  # Phi(-|a|)
+    e = g * cb
+    gap = np.maximum(g * (ca - cb), 0.0)  # Phi(-|a|) - e: erfcx falls and b > |a|
+    large = 1.0 - small
+    up = a >= 0.0
+    cdf = np.minimum(np.where(up, large, small) + e, 1.0)
+    sf = np.where(up, gap, large - e)
+    gig = np.where(up, large - e, gap)
+    gig_sf = np.minimum(np.where(up, small, large) + e, 1.0)
+    return cdf, sf, gig, gig_sf
+
+
 def _ig_cdf(x, mu, lam):
-    x, mu, lam = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(mu, dtype=float), np.asarray(lam, dtype=float)
-    )
-    out = np.zeros(x.shape)
-    inf = np.isinf(x) & (x > 0)
-    out[inf] = 1.0
-    pos = (x > 0) & ~inf
-    xp, mp, lp = x[pos], mu[pos], lam[pos]
-    s = np.sqrt(lp) / np.sqrt(xp)  # split to survive denormal x
-    # second term exponent-combined: exp(2 lam / mu) * Phi(-...) can hit
-    # inf * 0 when evaluated naively at large shape/mean ratios.
-    out[pos] = ndtr(s * (xp / mp - 1.0)) + np.exp(2.0 * lp / mp + log_ndtr(-s * (xp / mp + 1.0)))
-    return np.clip(out, 0.0, 1.0)
+    return _ig_tails(x, mu, lam)[0]
 
 
 def _gig_half_cdf(x, alpha, beta):
-    """CDF of GIG(alpha, beta, +1/2) via the reciprocal-IG representation.
-
-    If ``Y ~ GIG(beta, alpha, -1/2) = IG(sqrt(alpha/beta), alpha)`` then
-    ``1/Y ~ GIG(alpha, beta, +1/2)``, so the CDF is a survival of an IG CDF.
-    """
-    x, alpha, beta = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    )
-    out = np.zeros(x.shape)
-    inf = np.isinf(x) & (x > 0)
-    out[inf] = 1.0
-    pos = (x > 0) & ~inf
-    with np.errstate(over="ignore"):  # subnormal x: 1/x is +inf, where the IG CDF is 1
-        recip = 1.0 / x[pos]
-    out[pos] = 1.0 - _ig_cdf(recip, np.sqrt(alpha[pos] / beta[pos]), alpha[pos])
-    return out
+    """CDF of GIG(alpha, beta, +1/2): the ``G`` of IG(sqrt(beta / alpha), beta)."""
+    return _ig_tails(x, np.sqrt(np.asarray(beta) / np.asarray(alpha)), beta)[2]
 
 
 def _scalar_or_array(x, value):
@@ -216,19 +251,23 @@ def ig_pdf(x, params: IGParams):
     return _scalar_or_array(x, _ig_pdf(arr, params.mu, params.lam))
 
 
-def ig_cdf(x, params: IGParams):
-    """IG distribution function via the normal-CDF closed form."""
+def _checked_tails(x, params: IGParams, name: str):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
-        raise ValueError("ig_cdf requires x >= 0")
+        raise ValueError(f"{name} requires x >= 0")
     if np.any(np.isnan(arr)):
-        raise ValueError("ig_cdf requires non-NaN x")
-    return _scalar_or_array(x, _ig_cdf(arr, params.mu, params.lam))
+        raise ValueError(f"{name} requires non-NaN x")
+    return _ig_tails(arr, params.mu, params.lam)
+
+
+def ig_cdf(x, params: IGParams):
+    """IG distribution function via the normal-CDF closed form."""
+    return _scalar_or_array(x, _checked_tails(x, params, "ig_cdf")[0])
 
 
 def ig_sf(x, params: IGParams):
-    """IG survival function ``1 - ig_cdf``."""
-    return _scalar_or_array(x, 1.0 - np.asarray(ig_cdf(x, params)))
+    """IG survival function ``1 - ig_cdf``, evaluated as ``Phi(-a) - e``."""
+    return _scalar_or_array(x, _checked_tails(x, params, "ig_sf")[1])
 
 
 def gig_pdf(x, params: GIGParams):
@@ -258,6 +297,8 @@ def gig_cdf(x: float, params: GIGParams, quad: QuadratureSpec = DEFAULT_QUAD) ->
         return 0.0
     if math.isinf(x):
         return 1.0
+    from scipy import integrate
+
     z = math.sqrt(params.alpha * params.beta)
     lognorm = 0.5 * params.p * math.log(params.alpha / params.beta) - math.log(
         2.0 * bessel_k(params.p, z)
@@ -307,9 +348,7 @@ def ig_partial_expectation(x, n: int, params: IGParams):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("ig_partial_expectation requires x >= 0")
-    alpha = params.lam / params.mu**2
-    beta = n * n * params.lam
-    return _scalar_or_array(x, n * params.mu * _gig_half_cdf(arr, alpha, beta))
+    return _scalar_or_array(x, n * params.mu * _ig_tails(arr, n * params.mu, n * n * params.lam)[2])
 
 
 def poisson_pmf(m, freq: FrequencyModel):
@@ -343,13 +382,22 @@ def poisson_m_max(freq: FrequencyModel) -> int:
     return m
 
 
+class IGSumTails(NamedTuple):
+    """``F_{S_m}(x)``, ``1 - F_{S_m}(x)``, ``E[S_m; S_m <= x]`` and ``E[S_m; S_m > x]``."""
+
+    cdf: np.ndarray
+    sf: np.ndarray
+    lower_mean: np.ndarray
+    upper_mean: np.ndarray
+
+
 class CompoundIG:
     """Compound-Poisson IG annual aggregate as a mixture over the loss count.
 
     Given ``N = m`` the aggregate is the IG sum ``S_m ~ IG(m mu, m^2 lam)``.
     The weights ``p_m`` stop at ``m_max`` and are not renormalised: their
-    defect is the Poisson tail ``P[N > m_max]``.  ``cdf`` and ``partial_mean``
-    return one entry per count ``m = 1..m_max``.
+    defect is the Poisson tail ``P[N > m_max]``.  ``tails`` returns one
+    entry per count ``m = 1..m_max`` along the last axis.
     """
 
     def __init__(self, frequency: FrequencyModel, severity: IGParams, m_max: int) -> None:
@@ -357,16 +405,13 @@ class CompoundIG:
         self.p0 = float(poisson_pmf(0, frequency))
         self.pm = poisson_pmf(m, frequency)
         self.m_mu = m * severity.mu
-        self.alpha = severity.lam / severity.mu**2
         self.beta = m * m * severity.lam
 
-    def cdf(self, x):
-        """``F_{S_m}(x)``."""
-        return _ig_cdf(x, self.m_mu, self.beta)
-
-    def partial_mean(self, x):
-        """``E[S_m; S_m <= x] = m mu F_GIG(x; lam/mu^2, m^2 lam, +1/2)``."""
-        return self.m_mu * _gig_half_cdf(x, self.alpha, self.beta)
+    def tails(self, x) -> IGSumTails:
+        """The IG-sum CDF, survival and lower and upper partial means at ``x``,
+        from one evaluation of the closed form: ``E[S_m; S_m <= x] = m mu G``."""
+        cdf, sf, gig, gig_sf = _ig_tails(x, self.m_mu, self.beta)
+        return IGSumTails(cdf, sf, self.m_mu * gig, self.m_mu * gig_sf)
 
 
 def sample_ig(params: IGParams, rng: np.random.Generator, size=None):

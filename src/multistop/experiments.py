@@ -22,6 +22,7 @@ from .policies import (
     GLOBAL,
     LOCAL,
     ConfigError,
+    _require,
     gain_model_from_config,
     horizon_from_config,
     policy_choice,
@@ -90,10 +91,10 @@ def run_experiment(
     cfg = preset_config(preset) if isinstance(preset, str) else deepcopy(preset)
     name = preset if isinstance(preset, str) else cfg.get("name", "custom")
     horizon = horizon_from_config(cfg)
-    n_sim = int(cfg["mc"]["samples"] if n_scenarios is None else n_scenarios)
+    n_sim = int(_require(_require(cfg, "mc"), "samples") if n_scenarios is None else n_scenarios)
     if n_sim < 2:
         raise ConfigError(f"a study needs at least 2 scenarios for its standard errors, got {n_sim}")
-    run_seed = int(seed if seed is not None else cfg["mc"]["seed"])
+    run_seed = int(_require(_require(cfg, "mc"), "seed") if seed is None else seed)
     det_years = cfg.get("deterministic_years", [1, horizon.T // 2 + 1, horizon.T])
 
     report: dict = {

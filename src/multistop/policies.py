@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Literal
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
     DEFAULT_QUAD,
@@ -39,9 +38,9 @@ from .distributions import (
     CompoundIG,
     IGParams,
     QuadratureSpec,
-    _gig_half_cdf,
     _ig_cdf,
     _ig_pdf,
+    _ig_tails,
     poisson_m_max,
     poisson_sf,
     sample_ig,
@@ -182,21 +181,22 @@ class AlpLocalGain(StopLossGain):
         self.lda = lda
         self.cap = cap
         mix = self._mix = lda.mixture()
-        self._f_cap = mix.cdf(cap)
-        self._pmean_cap = mix.partial_mean(cap)
+        at_cap = self._at_cap = mix.tails(cap)
         self.weights = ALPWeights(
-            c0=mix.p0 + float(np.sum(mix.pm * self._f_cap)),
-            cm=mix.pm * (1.0 - self._f_cap),
+            c0=mix.p0 + float(np.sum(mix.pm * at_cap.cdf)),
+            cm=mix.pm * at_cap.sf,
         )
-        excess = mix.m_mu - self._pmean_cap - cap * (1.0 - self._f_cap)
+        excess = at_cap.upper_mean - cap * at_cap.sf
         super().__init__(-float(np.sum(mix.pm * excess)))
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         # E[(d - Zt)+]: d on the atom, (cap + d - Z) on cap < Z <= cap + d;
-        # one row per delta, one column per loss count
+        # one row per delta, one column per loss count.  Both ends lie in the
+        # upper tail, so the band is taken as a difference of survivals.
         y = (self.cap - delta)[:, None]
-        mix = self._mix
-        body = y * (mix.cdf(y) - self._f_cap) - (mix.partial_mean(y) - self._pmean_cap)
+        mix, at_cap = self._mix, self._at_cap
+        at_y = mix.tails(y)
+        body = y * (at_cap.sf - at_y.sf) - (at_cap.upper_mean - at_y.upper_mean)
         return np.sum(mix.pm * body, axis=1) - delta * self.weights.c0
 
 
@@ -215,17 +215,17 @@ class AlpGlobalGain(StopLossGain):
         self.lda = lda
         self.cap = cap
         mix = self._mix = lda.mixture()
-        self._f_cap = mix.cdf(cap)
-        self._pmean_cap = mix.partial_mean(cap)
-        super().__init__(float(np.sum(mix.pm * (cap * (1.0 - self._f_cap) + self._pmean_cap))))
+        at_cap = self._at_cap = mix.tails(cap)
+        super().__init__(float(np.sum(mix.pm * (cap * at_cap.sf + at_cap.lower_mean))))
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
-        mix = self._mix
+        mix, at_cap = self._mix, self._at_cap
         d = delta[:, None]
+        at_d = mix.tails(d)
         body = (
-            (self.cap - d) * (1.0 - self._f_cap)
-            + (self._pmean_cap - mix.partial_mean(d))
-            - d * (self._f_cap - mix.cdf(d))
+            (self.cap - d) * at_cap.sf
+            + (at_cap.lower_mean - at_d.lower_mean)
+            - d * (at_cap.cdf - at_d.cdf)
         )
         # the gain never exceeds the cap
         return np.where(delta >= self.cap, 0.0, np.sum(mix.pm * body, axis=1))
@@ -248,14 +248,15 @@ def alp_global_model(lda: LDAModel, cap: float) -> AlpGlobalGain:
 def _mstar_pmf_cached(
     m_star: int, lda: LDAModel, attachment: float, quad: QuadratureSpec
 ) -> float:
+    from scipy import integrate
+
     mu, lam = lda.severity.mu, lda.severity.lam
     if m_star == 1:
-        return float(1.0 - _ig_cdf(attachment, mu, lam))
+        return float(_ig_tails(attachment, mu, lam)[1])
     j = m_star - 1
 
     def integrand(a: float) -> float:
-        tail = 1.0 - _ig_cdf(attachment - a, mu, lam)
-        return tail * _ig_pdf(a, j * mu, j * j * lam)
+        return _ig_tails(attachment - a, mu, lam)[1] * _ig_pdf(a, j * mu, j * j * lam)
 
     val, _ = integrate.quad(
         integrand,
@@ -293,7 +294,7 @@ def pap_weights(
     mix = lda.mixture()
     pm = mix.pm
     mstar = np.array([mstar_pmf(j, lda, attachment, quad) for j in range(1, m_max + 1)])
-    dm = pm * mix.cdf(attachment)
+    dm = pm * mix.tails(attachment).cdf
     dmm = np.zeros((m_max, m_max))
     for m in range(1, m_max + 1):
         dmm[: m, m - 1] = mstar[:m] * pm[m - 1]
@@ -330,11 +331,12 @@ class PapLocalGain(StopLossGain):
         self.attachment = attachment
         mu, lam = lda.severity.mu, lda.severity.lam
         mix = self._mix = lda.mixture()
-        self._f_att = mix.cdf(attachment)
+        at_att = mix.tails(attachment)
+        self._f_att = at_att.cdf
 
         nodes, wts = _leggauss(_PAP_LOCAL_NODES, 0.0, attachment)
         self._nodes = nodes
-        cross = 1.0 - _ig_cdf(attachment - nodes, mu, lam)  # next loss crosses
+        cross = _ig_tails(attachment - nodes, mu, lam)[1]  # next loss crosses
         # g[q] aggregates, over all crossing indices j >= 2, the sub-density of
         # the retained sum at the node, weighted by P[N >= j].
         g = np.zeros(_PAP_LOCAL_NODES)
@@ -344,9 +346,9 @@ class PapLocalGain(StopLossGain):
             p_at_least_j = poisson_sf(j - 1, lda.frequency)
             g += p_at_least_j * wts * cross * dens
         self._g = g
-        self._atom = mix.p0 + (1.0 - mix.p0) * float(1.0 - _ig_cdf(attachment, mu, lam))
+        self._atom = mix.p0 + (1.0 - mix.p0) * float(_ig_tails(attachment, mu, lam)[1])
         mean_cross = float(np.sum(nodes * g))
-        mean_never = float(np.sum(mix.pm * mix.partial_mean(attachment)))
+        mean_never = float(np.sum(mix.pm * at_att.lower_mean))
         super().__init__(-(mean_cross + mean_never))
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
@@ -355,8 +357,8 @@ class PapLocalGain(StopLossGain):
         d = -delta
         dd = d[:, None]
         mix = self._mix
-        below = np.minimum(dd, self.attachment)
-        never = np.sum(mix.pm * (dd * mix.cdf(below) - mix.partial_mean(below)), axis=1)
+        at_below = mix.tails(np.minimum(dd, self.attachment))
+        never = np.sum(mix.pm * (dd * at_below.cdf - at_below.lower_mean), axis=1)
         cross = np.sum(np.maximum(dd - self._nodes, 0.0) * self._g, axis=1)
         return never + cross + d * self._atom
 
@@ -393,10 +395,9 @@ class PapGlobalGain(StopLossGain):
         self.attachment = attachment
         mu, lam = lda.severity.mu, lda.severity.lam
         self._mu, self._lam = mu, lam
-        self._alpha = lam / mu**2
         m_max = lda.m_max
         mix = lda.mixture()
-        self.prob_zero_gain = mix.p0 + float(np.sum(mix.pm * mix.cdf(attachment)))
+        self.prob_zero_gain = mix.p0 + float(np.sum(mix.pm * mix.tails(attachment).cdf))
 
         nodes, wts = _leggauss(_PAP_GLOBAL_GAPS, 0.0, attachment)
         self._u = attachment - nodes  # gap the crossing loss must exceed
@@ -430,9 +431,9 @@ class PapGlobalGain(StopLossGain):
         self._gaps = np.append(self._u, attachment)
         self._gap_w = np.append(h.sum(axis=0), mix.pm.sum())
         self._gap_rw = np.append(r @ h, r @ mix.pm)
-        self._gap_f = _ig_cdf(self._gaps, mu, lam)
-        self._gap_tail_first = mu * (1.0 - _gig_half_cdf(self._gaps, self._alpha, lam))
-        super().__init__(self._gap_terms(0.0))  # E[max{W, 0}] = E[W]
+        self._gap_f, self._gap_sf, _, gap_gig_sf = _ig_tails(self._gaps, mu, lam)
+        self._gap_tail_first = mu * gap_gig_sf
+        super().__init__(float(self._gap_terms(np.zeros(1))[0]))  # E[max{W, 0}] = E[W]
 
         # the composite x grid, H_r on each of its segments for r >= 1, and
         # the nodes with their weights w f_X(x) H_r(x)
@@ -453,19 +454,19 @@ class PapGlobalGain(StopLossGain):
         x = (lo[:, None] + half * (self._t + 1.0)).ravel()
         return x, (half * self._w).ravel() * _ig_pdf(x, self._mu, self._lam)
 
-    def _gap_terms(self, d: float) -> float:
-        """The closed-form part of ``E[max{W, d}]`` on the positive-gain branches."""
-        dd = np.array([d])
-        f_d = _ig_cdf(dd, self._mu, self._lam)[0]
-        tail_first_d = self._mu * (1.0 - _gig_half_cdf(dd, self._alpha, self._lam)[0])
-        low = self._gaps < d  # the crossing loss can fall short of d
-        tail_x = np.where(low, 1.0 - f_d, 1.0 - self._gap_f)
-        tail_first = np.where(low, tail_first_d, self._gap_tail_first)
-        below = np.where(low, self._gap_w * (f_d - self._gap_f), 0.0)
-        return float(
-            self._mu * np.sum(self._gap_rw * tail_x)
-            + np.sum(self._gap_w * tail_first)
-            + d * np.sum(below)
+    def _gap_terms(self, delta: np.ndarray) -> np.ndarray:
+        """The closed-form part of ``E[max{W, d}]`` on the positive-gain
+        branches, for each ``d`` in ``delta`` at once (one row per ``d``, one
+        column per gap)."""
+        f_d, sf_d, _, gig_sf_d = _ig_tails(delta, self._mu, self._lam)
+        low = self._gaps < delta[:, None]  # the crossing loss can fall short of d
+        tail_x = np.where(low, sf_d[:, None], self._gap_sf)
+        tail_first = np.where(low, self._mu * gig_sf_d[:, None], self._gap_tail_first)
+        below = np.where(low, self._gap_w * (f_d[:, None] - self._gap_f), 0.0)
+        return (
+            self._mu * np.sum(self._gap_rw * tail_x, axis=1)
+            + np.sum(self._gap_w * tail_first, axis=1)
+            + delta * np.sum(below, axis=1)
         )
 
     def _inner(self, d: float) -> float:
@@ -499,21 +500,20 @@ class PapGlobalGain(StopLossGain):
             hx = np.concatenate((hx, np.repeat(self._seg_h[:, seg], p, axis=1) * wf), axis=1)
         y = d - x
         rr = self._rr
-        fs_bar = 1.0 - _ig_cdf(y, rr * self._mu, rr * rr * self._lam)
-        fh_bar = 1.0 - _gig_half_cdf(y, self._alpha, rr * rr * self._lam)
+        _, fs_bar, _, fh_bar = _ig_tails(y, rr * self._mu, rr * rr * self._lam)
         return float(np.sum((rr * self._mu * fh_bar - y * fs_bar) * hx))
 
     def continuous_mass(self) -> float:
         """Quadrature mass of the strictly-positive-gain branches."""
-        return float(np.sum(self._gap_w * (1.0 - self._gap_f)))
+        return float(np.sum(self._gap_w * self._gap_sf))
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         # E[max{W, d}] - d over the positive-gain branches, plus the zero-gain
-        # atom.  One d at a time keeps the temporaries at (m_max - 1) x nodes.
-        return np.array([
-            self._gap_terms(d) + self._inner(d) + d * (self.prob_zero_gain - 1.0)
-            for d in delta.tolist()
-        ])
+        # atom.  The gap terms take the whole row at once; the inner integral
+        # takes one d at a time, which keeps its temporaries at
+        # (m_max - 1) x nodes.
+        inner = np.array([self._inner(d) for d in delta.tolist()])
+        return self._gap_terms(delta) + inner + delta * (self.prob_zero_gain - 1.0)
 
 
 def pap_local_model(lda: LDAModel, attachment: float) -> PapLocalGain:
@@ -547,7 +547,8 @@ class IlpLocalGain(StopLossGain):
         d = -delta
         dd = d[:, None]
         mix = self._mix
-        return np.sum(mix.pm * (dd * mix.cdf(dd) - mix.partial_mean(dd)), axis=1) + d * mix.p0
+        at_d = mix.tails(dd)
+        return np.sum(mix.pm * (dd * at_d.cdf - at_d.lower_mean), axis=1) + d * mix.p0
 
 
 def ilp_local_model(aux: ILPAuxModel) -> IlpLocalGain:

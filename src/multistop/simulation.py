@@ -375,4 +375,4 @@ def _mean_claimed_gain(batch: ScenarioBatch, taus: np.ndarray) -> float:
 def exceedance_probability(lda: LDAModel, cap: float) -> float:
     """P[annual loss exceeds cap] from the count-conditioned IG mixture."""
     mix = lda.mixture()
-    return float(np.sum(mix.pm * (1.0 - mix.cdf(cap))))
+    return float(np.sum(mix.pm * mix.tails(cap).sf))

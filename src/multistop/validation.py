@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
     FrequencyModel,
@@ -47,6 +46,8 @@ def _check(name: str, err: float, tol: float) -> Check:
 
 
 def run_validation_suite() -> list[Check]:
+    from scipy import integrate
+
     checks: list[Check] = []
 
     # half-integer Bessel closed form, symmetry, and hand value at p=1/2, z=1
@@ -134,6 +135,8 @@ def run_validation_suite() -> list[Check]:
 
 
 def _normalization_error(lda: LDAModel, cap: float, attachment: float) -> float:
+    from scipy import integrate
+
     errs = []
     mix = lda.mixture()
     branches = list(zip(mix.pm, mix.m_mu, mix.beta))  # (P[N = m], m mu, m^2 lam)
@@ -154,7 +157,7 @@ def _normalization_error(lda: LDAModel, cap: float, attachment: float) -> float:
     for p, m_mu, beta in branches:
         val, _ = integrate.quad(lambda w_: float(_ig_pdf(w_, m_mu, beta)), 0.0, cap, limit=200)
         body += p * val
-    atom_cap = float(np.sum(mix.pm * (1.0 - mix.cdf(cap))))
+    atom_cap = float(np.sum(mix.pm * mix.tails(cap).sf))
     errs.append(abs(mix.p0 + atom_cap + body - 1.0))
 
     # PAP: the conditioning weights partition each count's probability, and

@@ -22,7 +22,7 @@ class ReferencePapGlobal:
         m_max = lda.m_max
         self._m_max = m_max
         mix = lda.mixture()
-        self.prob_zero_gain = mix.p0 + float(np.sum(mix.pm * mix.cdf(attachment)))
+        self.prob_zero_gain = mix.p0 + float(np.sum(mix.pm * mix.tails(attachment).cdf))
 
         t, w = np.polynomial.legendre.leggauss(n_outer)
         half = 0.5 * attachment

@@ -325,7 +325,7 @@ def _alp_global_triple_probabilities() -> dict[tuple[int, ...], float]:
     def p_claim(x: float) -> float:
         if x <= 0.0:
             return 1.0
-        return 0.0 if x > cap else float(np.sum(mix.pm * (1.0 - mix.cdf(x))))
+        return 0.0 if x > cap else float(np.sum(mix.pm * mix.tails(x).sf))
 
     probs = {}
     for taus in combinations(range(1, T + 1), k):

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multistop
 from multistop.cli import main
 
 
@@ -383,3 +388,13 @@ def test_non_object_json_config_is_a_config_error(tmp_path, capsys, command):
     _, err = capsys.readouterr()
     assert code == 2
     assert json.loads(err.strip())["error"]["type"] == "config"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg; the
+    # package imports it only inside the functions that integrate
+    src = str(Path(multistop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, multistop.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

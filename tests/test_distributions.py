@@ -17,6 +17,9 @@ from multistop.distributions import (
     NumericalError,
     QuadratureSpec,
     _gig_half_cdf,
+    _ig_cdf,
+    _ig_pdf,
+    _ig_tails,
     bessel_k,
     gig_cdf,
     gig_pdf,
@@ -30,6 +33,7 @@ from multistop.distributions import (
     poisson_sf,
     sample_ig,
 )
+from quad_oracle import upper_tail_quadrature
 
 
 # ---------------------------------------------------------------- bessel_k
@@ -223,6 +227,71 @@ def test_gig_half_cdf_is_zero_at_subnormal_x_without_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(_gig_half_cdf(x, 2.0, 3.0), np.zeros(3))
         assert ig_partial_expectation(1e-310, 2, IGParams(mu=1.0, lam=1.0)) == 0.0
+
+
+# ---------------------------------------------------------------- the IG tail kernel
+
+# x from 0 through subnormal and tiny values to 1e6 and inf, for IG shapes from
+# 1e-3 to 1e4 at three means
+TAIL_XS = np.concatenate(([0.0, 5e-324], np.geomspace(1e-300, 1e6, 301), [np.inf]))
+TAIL_SHAPES = np.geomspace(1e-3, 1e4, 8)
+TAIL_MEANS = (1e-2, 1.0, 30.0)
+
+
+@pytest.mark.parametrize("mu", TAIL_MEANS)
+def test_ig_tails_are_complementary_and_exact_at_the_ends(mu):
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf, sf, gig, gig_sf = _ig_tails(TAIL_XS[:, None], mu, TAIL_SHAPES)
+    for out in (cdf, sf, gig, gig_sf):
+        assert out.shape == (TAIL_XS.size, TAIL_SHAPES.size)
+        assert np.all((out >= 0.0) & (out <= 1.0))
+    assert np.max(np.abs(cdf + sf - 1.0)) <= 2 * eps
+    assert np.max(np.abs(gig + gig_sf - 1.0)) <= 2 * eps
+    assert np.all(np.diff(cdf, axis=0) >= 0.0) and np.all(np.diff(sf, axis=0) <= 0.0)
+    assert np.all(np.diff(gig, axis=0) >= 0.0) and np.all(np.diff(gig_sf, axis=0) <= 0.0)
+    assert [out[0].tolist() for out in (cdf, sf, gig, gig_sf)] == [[0.0] * 8, [1.0] * 8] * 2
+    assert [out[-1].tolist() for out in (cdf, sf, gig, gig_sf)] == [[1.0] * 8, [0.0] * 8] * 2
+    # the thin views read the same kernel
+    assert np.array_equal(_ig_cdf(TAIL_XS[:, None], mu, TAIL_SHAPES), cdf)
+    # (the GIG view recovers mu as sqrt(lam / alpha), which may round)
+    view = _gig_half_cdf(TAIL_XS[:, None], TAIL_SHAPES / mu**2, TAIL_SHAPES)
+    assert np.allclose(view, gig, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("mu", TAIL_MEANS)
+def test_ig_tails_match_quadrature_in_the_body(mu):
+    # gig_cdf's normalizer K_{1/2}(lam / mu) underflows past lam / mu = 745
+    for lam in TAIL_SHAPES[TAIL_SHAPES / mu < 700][::2]:
+        gig_params = GIGParams(alpha=lam / mu**2, beta=lam, p=0.5)
+        for x in mu * np.geomspace(1e-2, 1e2, 9):
+            cdf, _, gig, _ = (float(v) for v in _ig_tails(x, mu, lam))
+            assert cdf == ig_cdf(x, IGParams(mu=mu, lam=lam))
+            direct, _ = integrate.quad(
+                lambda u: float(_ig_pdf(u, mu, lam)), 0.0, x, points=[min(mu, x) / 2], limit=400
+            )
+            assert cdf == pytest.approx(direct, abs=1e-9)
+            assert gig == pytest.approx(gig_cdf(x, gig_params), abs=1e-9)
+            assert ig_partial_expectation(x, 1, IGParams(mu=mu, lam=lam)) == pytest.approx(mu * gig, rel=1e-15)
+
+
+@pytest.mark.parametrize("mu", TAIL_MEANS)
+def test_ig_survival_keeps_the_far_tail(mu):
+    # where the CDF rounds to 1, the survival stays positive and matches the
+    # density's tail integral to 1e-9 relative
+    checked = 0
+    for lam in TAIL_SHAPES:
+        xs = mu * np.geomspace(1.0, 1e6, 40)
+        cdf, sf, _, _ = _ig_tails(xs, mu, lam)
+        for x, c, s in zip(xs, cdf, sf):
+            if c < 1.0 or s < 1e-290:
+                continue
+            assert s > 0.0
+            assert s == pytest.approx(upper_tail_quadrature(x, mu, lam), rel=1e-9, abs=0.0)
+            assert ig_sf(x, IGParams(mu=mu, lam=lam)) == s
+            checked += 1
+    assert checked >= 5
 
 
 # ---------------------------------------------------------------- Poisson

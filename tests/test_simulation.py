@@ -27,6 +27,7 @@ from multistop.simulation import (
     stopping_time_distribution,
 )
 from multistop.stopping import Decision, Horizon, StoppingState, compute_value_table, decide
+from quad_oracle import upper_tail_quadrature
 from sim_reference import reference_simulate_aux_local_batch, reference_simulate_batch
 
 LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
@@ -223,6 +224,23 @@ def test_run_experiment_without_a_horizon_is_a_config_error():
         run_experiment(cfg, seed=5, n_scenarios=200)
 
 
+@pytest.mark.parametrize(
+    "drop, given",
+    [("mc", {}), ("mc", {"seed": 5}), ("mc", {"n_scenarios": 200}),
+     ("samples", {"seed": 5}), ("seed", {"n_scenarios": 200})],
+)
+def test_run_experiment_without_mc_settings_is_a_config_error(drop, given):
+    cfg = preset_config("ilp-study")
+    if drop == "mc":
+        del cfg["mc"]
+    else:
+        del cfg["mc"][drop]
+    with pytest.raises(ConfigError, match=repr(drop)):
+        run_experiment(cfg, **given)
+    # passing both settings makes the block unnecessary
+    assert run_experiment(cfg, seed=5, n_scenarios=200)["n_scenarios"] == 200
+
+
 # ---------------------------------------------------------------- rules
 
 
@@ -409,6 +427,18 @@ def test_exceedance_probability_matches_mc(small_batch):
     hat = float(np.mean(small_batch.z > 10.0))
     se = math.sqrt(hat * (1 - hat) / small_batch.z.size)
     assert abs(p - hat) <= 3 * se
+
+
+@pytest.mark.parametrize("cap", [40.0, 80.0, 120.0, 160.0, 200.0])
+def test_exceedance_probability_keeps_the_far_tail(cap):
+    # the same truncated count mixture, each branch's tail by quadrature; at
+    # cap 200 the probability is about 2e-31, far below 1 - F's resolution
+    mix = LDA.mixture()
+    exact = sum(
+        p * upper_tail_quadrature(cap, m_mu, beta) for p, m_mu, beta in zip(mix.pm, mix.m_mu, mix.beta)
+    )
+    assert exact > 0.0
+    assert exceedance_probability(LDA, cap) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_compare_rules_dimension_checks(small_batch, global_table):
