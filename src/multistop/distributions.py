@@ -270,15 +270,26 @@ def ig_sf(x, params: IGParams):
     return _scalar_or_array(x, _checked_tails(x, params, "ig_sf")[1])
 
 
+def _gig_log_norm(params: GIGParams) -> float:
+    """Log of the GIG normalizer ``(alpha/beta)^(p/2) / (2 K_p(sqrt(alpha beta)))``.
+
+    Half orders take the log of the elementary form, since ``K_{1/2}(z)``
+    itself underflows to 0 past ``z ~ 745``.
+    """
+    z = math.sqrt(params.alpha * params.beta)
+    if abs(abs(params.p) - 0.5) < _HALF_ORDER_TOL:
+        log_2k = math.log(2.0) + 0.5 * math.log(math.pi / (2.0 * z)) - z
+    else:
+        log_2k = math.log(2.0 * bessel_k(params.p, z))
+    return 0.5 * params.p * math.log(params.alpha / params.beta) - log_2k
+
+
 def gig_pdf(x, params: GIGParams):
     """GIG density, normalized by ``bessel_k(p, sqrt(alpha*beta))``."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("gig_pdf requires x > 0")
-    z = math.sqrt(params.alpha * params.beta)
-    lognorm = 0.5 * params.p * math.log(params.alpha / params.beta) - math.log(
-        2.0 * bessel_k(params.p, z)
-    )
+    lognorm = _gig_log_norm(params)
     out = np.exp(
         lognorm + (params.p - 1.0) * np.log(arr) - 0.5 * (params.alpha * arr + params.beta / arr)
     )
@@ -299,10 +310,7 @@ def gig_cdf(x: float, params: GIGParams, quad: QuadratureSpec = DEFAULT_QUAD) ->
         return 1.0
     from scipy import integrate
 
-    z = math.sqrt(params.alpha * params.beta)
-    lognorm = 0.5 * params.p * math.log(params.alpha / params.beta) - math.log(
-        2.0 * bessel_k(params.p, z)
-    )
+    lognorm = _gig_log_norm(params)
 
     def integrand(t: float) -> float:
         # for |t| past exp's overflow range the -(alpha e^t + beta e^-t)/2
@@ -312,15 +320,28 @@ def gig_cdf(x: float, params: GIGParams, quad: QuadratureSpec = DEFAULT_QUAD) ->
         e = lognorm + params.p * t - 0.5 * (params.alpha * math.exp(t) + params.beta * math.exp(-t))
         return math.exp(e) if e > -745.0 else 0.0
 
-    val, err, info = integrate.quad(
-        integrand,
-        -np.inf,
-        math.log(x),
-        epsabs=quad.abs_tol,
-        epsrel=quad.rel_tol,
-        limit=quad.max_subdivisions,
-        full_output=True,
-    )[:3]
+    # the density peaks at e^t = (p + sqrt(p^2 + alpha beta)) / alpha, the
+    # conjugate form avoiding cancellation for p < 0; a narrow peak is missed
+    # by one quad over the whole half-line, so split the range there
+    root = math.sqrt(params.p**2 + params.alpha * params.beta)
+    if params.p >= 0:
+        t_mode = math.log((params.p + root) / params.alpha)
+    else:
+        t_mode = math.log(params.beta / (root - params.p))
+    t_end = math.log(x)
+    val = err = 0.0
+    for lo, hi in ((-np.inf, min(t_mode, t_end)), (t_mode, t_end)):
+        if hi > lo:
+            piece, piece_err = integrate.quad(
+                integrand,
+                lo,
+                hi,
+                epsabs=quad.abs_tol,
+                epsrel=quad.rel_tol,
+                limit=quad.max_subdivisions,
+                full_output=True,
+            )[:2]
+            val, err = val + piece, err + piece_err
     if err > max(quad.abs_tol * 10.0, abs(val) * quad.rel_tol * 10.0) and err > 1e-9:
         raise NumericalError(
             f"gig_cdf quadrature did not converge at x={x}, params={params}: "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -85,15 +86,16 @@ def lognormal_raw_moments(mu: float, sigma: float):
     return [math.exp(j * mu + 0.5 * j * j * sigma * sigma) for j in (1, 2, 3, 4)]
 
 
-def _laguerre_coeffs(n: int, a: float, deriv: bool = False) -> list:
+@lru_cache(maxsize=64)
+def _laguerre_coeffs(n: int, a: float, deriv: bool = False) -> tuple:
     """Power-basis coefficients of ``L_n``, or of its derivative, highest first:
     ``c_j = (-1)^(n-j) C(n, j) (a+n-1)(a+n-2)...(a+j)``, times ``j`` for the
     derivative."""
-    return [
+    return tuple(
         (-1) ** (n - j)
         * math.prod([math.comb(n, j) * (j if deriv else 1), *(a + i for i in range(n - 1, j - 1, -1))])
         for j in range(n, int(deriv) - 1, -1)
-    ]
+    )
 
 
 def _laguerre_sum(n: int, a: float, u, deriv: bool = False):
@@ -206,28 +208,66 @@ def approx_pdf(fit: ExpansionFit, z):
     return out if out.ndim else float(out)
 
 
-def _bracket_positivity(a: float, a3: float, a4: float, u_max: float) -> PositivityResult:
-    # The bracket is a quartic in u; a negative leading coefficient means the
-    # density is eventually negative no matter how wide the scan window is.
-    cubic = a3 - 4.0 * (a + 3.0) * a4
-    if a4 < -POSITIVITY_TOL or (abs(a4) <= POSITIVITY_TOL and cubic < -POSITIVITY_TOL):
-        u_far = max(2.0 * u_max, 10.0)
-        while (far := _bracket(a, a3, a4, u_far)) >= 0.0:
-            u_far *= 2.0
-        return PositivityResult(False, u_violation=u_far, min_value=float(far))
+def _positivity_verdicts(a: float, a3, a4, u_max: float):
+    """Row-wise minimum of the bracket over [0, u_max] for each ``(a3, a4)``.
 
-    # the minimum on [0, u_max] sits at an end or at a real critical point;
-    # the real part of every root inside the window is a point worth trying
-    slope = a4 * np.array(_laguerre_coeffs(4, a, deriv=True))
-    slope[1:] += a3 * np.array(_laguerre_coeffs(3, a, deriv=True))
-    roots = np.polynomial.polynomial.polyroots(slope[::-1]).real
-    cand = np.concatenate(([0.0, u_max], roots[(roots > 0.0) & (roots < u_max)]))
-    vals = _bracket(a, a3, a4, cand)
-    i = int(np.argmin(vals))
-    best_val, best_u = float(vals[i]), float(cand[i])
-    if best_val < -POSITIVITY_TOL:
-        return PositivityResult(False, u_violation=best_u, min_value=best_val)
-    return PositivityResult(True, min_value=best_val)
+    Returns ``(positive, min_value, u_min)`` arrays.  A negative leading
+    coefficient makes the quartic, and so the density, eventually negative no
+    matter how wide the window is: such a row is found negative by doubling
+    ``u`` and is never positive.  Elsewhere the minimum sits at an end of the
+    window or at the real part of a root of the derivative cubic inside it;
+    the roots of every row come from one eigenvalue call on the stacked
+    companion matrices, built as ``polycompanion`` builds them, so each row
+    keeps the bits of ``polyroots``.
+    """
+    a3 = np.asarray(a3, dtype=float).ravel()
+    a4 = np.asarray(a4, dtype=float).ravel()
+    min_value, u_min = np.empty(a3.size), np.empty(a3.size)
+    cubic = a3 - 4.0 * (a + 3.0) * a4
+    far = (a4 < -POSITIVITY_TOL) | ((np.abs(a4) <= POSITIVITY_TOL) & (cubic < -POSITIVITY_TOL))
+    if far.any():
+        f3, f4 = a3[far], a4[far]
+        u_far = np.full(f3.size, max(2.0 * u_max, 10.0))
+        val = _bracket(a, f3, f4, u_far)
+        while (grow := val >= 0.0).any():
+            u_far[grow] *= 2.0
+            val[grow] = _bracket(a, f3[grow], f4[grow], u_far[grow])
+        min_value[far], u_min[far] = val, u_far
+
+    inner = np.flatnonzero(~far)
+    if inner.size:
+        i3, i4 = a3[inner, None], a4[inner, None]
+        slope = i4 * np.array(_laguerre_coeffs(4, a, deriv=True))
+        slope[:, 1:] += i3 * np.array(_laguerre_coeffs(3, a, deriv=True))
+        roots = np.full((inner.size, 3), np.nan)
+        cubic_rows = slope[:, 0] != 0.0
+        if cubic_rows.any():
+            c = slope[cubic_rows, ::-1]
+            companion = np.zeros((c.shape[0], 3, 3))
+            companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+            companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            roots[cubic_rows] = np.sort(np.linalg.eigvals(companion), axis=1).real
+        # polyroots trims a zero leading coefficient and drops the degree
+        for r in np.flatnonzero(~cubic_rows):
+            found = np.polynomial.polynomial.polyroots(slope[r, ::-1]).real
+            roots[r, : found.size] = found
+        in_window = (roots > 0.0) & (roots < u_max)
+        cand = np.zeros((inner.size, 5))
+        cand[:, 1] = u_max
+        cand[:, 2:] = np.where(in_window, roots, 0.0)
+        vals = _bracket(a, i3, i4, cand)
+        vals[:, 2:][~in_window] = np.inf
+        rows, best = np.arange(inner.size), np.argmin(vals, axis=1)
+        min_value[inner], u_min[inner] = vals[rows, best], cand[rows, best]
+    return ~far & ~(min_value < -POSITIVITY_TOL), min_value, u_min
+
+
+def _bracket_positivity(a: float, a3: float, a4: float, u_max: float) -> PositivityResult:
+    """The one-row case of :func:`_positivity_verdicts`."""
+    (positive,), (min_value,), (u_min,) = _positivity_verdicts(a, a3, a4, u_max)
+    if positive:
+        return PositivityResult(True, min_value=float(min_value))
+    return PositivityResult(False, u_violation=float(u_min), min_value=float(min_value))
 
 
 def positivity_check(fit: ExpansionFit, u_max: float) -> PositivityResult:
@@ -374,14 +414,17 @@ class RefitResult:
     segment: tuple[float, float]
 
 
-def _curve_point_admissible(a: float, u: float) -> bool:
-    curve = positivity_boundary(a, [u])
-    if curve.u.size == 0:
-        return False
-    a3, a4 = _fit_coefficients(a, float(curve.mu3[0]), float(curve.mu4[0]))
-    # boundary densities touch zero at their double root; tolerate that dip
-    res = _bracket_positivity(a, a3, a4, default_scan_limit(a))
-    return res.positive or res.min_value > -1e-8
+def _curve_admissible(a: float, u: np.ndarray, u_max: float) -> np.ndarray:
+    """Whether the boundary density at each ``u`` of the double-root curve is
+    nonnegative on [0, u_max]; points the boundary solve skips are not."""
+    curve = positivity_boundary(a, u)
+    admissible = np.zeros(u.size, dtype=bool)
+    if curve.u.size:
+        a3, a4 = _fit_coefficients(a, curve.mu3, curve.mu4)
+        positive, min_value, _ = _positivity_verdicts(a, a3, a4, u_max)
+        # boundary densities touch zero at their double root; tolerate that dip
+        admissible[~np.isin(u, curve.skipped)] = positive | (min_value > -1e-8)
+    return admissible
 
 
 def constrained_refit(moments: MomentSet) -> RefitResult:
@@ -395,26 +438,23 @@ def constrained_refit(moments: MomentSet) -> RefitResult:
     a = moments.mean**2 / moments.variance
     u_hi = default_scan_limit(a)
     us = np.linspace(u_hi / _REFIT_SCAN, u_hi, _REFIT_SCAN)
-    flags = np.array([_curve_point_admissible(a, float(u)) for u in us])
+    flags = _curve_admissible(a, us, u_hi)
     if not flags.any():
         raise ValueError("no admissible boundary segment found; widen the scan")
 
-    def refine(u_ok: float, u_bad: float) -> float:
+    # bisect toward each scan neighbour outside the admissible run; both ends
+    # advance together, one midpoint each per call
+    i, j = np.flatnonzero(flags)[[0, -1]]
+    u_ok = us[[i, j]]
+    u_bad = us[[max(i - 1, 0), min(j + 1, len(us) - 1)]]
+    ends = np.flatnonzero([i > 0, j < len(us) - 1])
+    if ends.size:
         for _ in range(40):
-            mid = 0.5 * (u_ok + u_bad)
-            if _curve_point_admissible(a, mid):
-                u_ok = mid
-            else:
-                u_bad = mid
-        return u_ok
-
-    ok_idx = np.nonzero(flags)[0]
-    lo = float(us[ok_idx[0]])
-    hi = float(us[ok_idx[-1]])
-    if ok_idx[0] > 0:
-        lo = refine(lo, float(us[ok_idx[0] - 1]))
-    if ok_idx[-1] < len(us) - 1:
-        hi = refine(hi, float(us[ok_idx[-1] + 1]))
+            mid = 0.5 * (u_ok[ends] + u_bad[ends])
+            ok = _curve_admissible(a, mid, u_hi)
+            u_ok[ends[ok]] = mid[ok]
+            u_bad[ends[~ok]] = mid[~ok]
+    lo, hi = float(u_ok[0]), float(u_ok[1])
 
     seg_u = np.linspace(lo, hi, 2 * _REFIT_SCAN)
     curve = positivity_boundary(a, seg_u)

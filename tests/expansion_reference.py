@@ -1,4 +1,4 @@
-"""Frozen hand-expanded Laguerre polynomials and grid-scan positivity check.
+"""Frozen hand-expanded Laguerre polynomials, positivity checks and refit.
 
 These are ``laguerre``, ``_laguerre_deriv``, ``positivity_boundary`` and
 ``_bracket_positivity`` of ``multistop.expansion`` as they stood before the
@@ -7,13 +7,28 @@ the roots of the bracket's derivative: the polynomials written out by hand,
 the boundary solved one grid point at a time, and the bracket sampled on a
 4001-point grid with a Brent refinement from every sampled local minimum.
 They are the bit-identity references for the first three and the accuracy
-reference for the fourth.  Do not optimise them.
+reference for the fourth.
+
+``reference_exact_positivity`` and ``reference_constrained_refit`` are the
+root-based verdict and the boundary refit as they stood before the verdict
+was batched over rows: one ``polyroots`` call per verdict, and the scan and
+both bisections judged one curve point at a time.  They are the bit-identity
+references for ``_bracket_positivity`` and ``constrained_refit``.
+
+Do not optimise any of them.
 """
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from multistop.expansion import POSITIVITY_TOL, PositivityCurve, PositivityResult, _coeffs
+from multistop.expansion import (
+    POSITIVITY_TOL,
+    MomentSet,
+    PositivityCurve,
+    PositivityResult,
+    _coeffs,
+    default_scan_limit,
+)
 
 
 def reference_laguerre(n, a, u):
@@ -115,3 +130,87 @@ def reference_bracket_positivity(a, a3, a4, u_max):
         return PositivityResult(False, u_violation=best_u, min_value=best_val)
     return PositivityResult(True, min_value=best_val)
 
+
+
+def _reference_bracket(a, a3, a4, u):
+    return 1.0 + a3 * reference_laguerre(3, a, u) + a4 * reference_laguerre(4, a, u)
+
+
+def _reference_fit_coefficients(a, mu3, mu4):
+    c3, c4, _, _ = _coeffs(a)
+    return c3 * (mu3 - 2.0 * a), c4 * (mu4 - 12.0 * mu3 - 3.0 * a * a + 18.0 * a)
+
+
+def reference_exact_positivity(a, a3, a4, u_max):
+    cubic = a3 - 4.0 * (a + 3.0) * a4
+    if a4 < -POSITIVITY_TOL or (abs(a4) <= POSITIVITY_TOL and cubic < -POSITIVITY_TOL):
+        u_far = max(2.0 * u_max, 10.0)
+        while (far := _reference_bracket(a, a3, a4, u_far)) >= 0.0:
+            u_far *= 2.0
+        return PositivityResult(False, u_violation=u_far, min_value=float(far))
+
+    # highest power first: the derivatives of L4 and L3 written out by hand
+    slope = a4 * np.array(
+        [4, -12 * (a + 3), 12 * (a + 3) * (a + 2), -4 * (a + 3) * (a + 2) * (a + 1)]
+    )
+    slope[1:] += a3 * np.array([3, -6 * (a + 2), 3 * (a + 2) * (a + 1)])
+    roots = np.polynomial.polynomial.polyroots(slope[::-1]).real
+    cand = np.concatenate(([0.0, u_max], roots[(roots > 0.0) & (roots < u_max)]))
+    vals = _reference_bracket(a, a3, a4, cand)
+    i = int(np.argmin(vals))
+    best_val, best_u = float(vals[i]), float(cand[i])
+    if best_val < -POSITIVITY_TOL:
+        return PositivityResult(False, u_violation=best_u, min_value=best_val)
+    return PositivityResult(True, min_value=best_val)
+
+
+def reference_curve_point_admissible(a, u):
+    curve = reference_positivity_boundary(a, [u])
+    if curve.u.size == 0:
+        return False
+    a3, a4 = _reference_fit_coefficients(a, float(curve.mu3[0]), float(curve.mu4[0]))
+    res = reference_exact_positivity(a, a3, a4, default_scan_limit(a))
+    return res.positive or res.min_value > -1e-8
+
+
+def reference_constrained_refit(moments):
+    """``(segment, u_at_projection, projected moments, their positivity)``."""
+    a = moments.mean**2 / moments.variance
+    u_hi = default_scan_limit(a)
+    us = np.linspace(u_hi / 400, u_hi, 400)
+    flags = np.array([reference_curve_point_admissible(a, float(u)) for u in us])
+    if not flags.any():
+        raise ValueError("no admissible boundary segment found; widen the scan")
+
+    def refine(u_ok, u_bad):
+        for _ in range(40):
+            mid = 0.5 * (u_ok + u_bad)
+            if reference_curve_point_admissible(a, mid):
+                u_ok = mid
+            else:
+                u_bad = mid
+        return u_ok
+
+    ok_idx = np.nonzero(flags)[0]
+    lo = float(us[ok_idx[0]])
+    hi = float(us[ok_idx[-1]])
+    if ok_idx[0] > 0:
+        lo = refine(lo, float(us[ok_idx[0] - 1]))
+    if ok_idx[-1] < len(us) - 1:
+        hi = refine(hi, float(us[ok_idx[-1] + 1]))
+
+    curve = reference_positivity_boundary(a, np.linspace(lo, hi, 800))
+    physical = curve.mu4 > 0
+    if not physical.any():
+        raise ValueError("admissible boundary segment has no physical moment pairs")
+    mu3s, mu4s, us = curve.mu3[physical], curve.mu4[physical], curve.u[physical]
+    s3 = max(float(np.std(mu3s)), 1e-12)
+    s4 = max(float(np.std(mu4s)), 1e-12)
+    dist = ((mu3s - moments.mu3) / s3) ** 2 + ((mu4s - moments.mu4) / s4) ** 2
+    j = int(np.argmin(dist))
+    projected = MomentSet(
+        mean=moments.mean, variance=moments.variance, mu3=float(mu3s[j]), mu4=float(mu4s[j])
+    )
+    a3, a4 = _reference_fit_coefficients(a, projected.mu3, projected.mu4)
+    positivity = reference_exact_positivity(a, a3, a4, u_hi)
+    return (lo, hi), float(us[j]), projected, positivity

@@ -262,18 +262,32 @@ def test_ig_tails_are_complementary_and_exact_at_the_ends(mu):
 
 @pytest.mark.parametrize("mu", TAIL_MEANS)
 def test_ig_tails_match_quadrature_in_the_body(mu):
-    # gig_cdf's normalizer K_{1/2}(lam / mu) underflows past lam / mu = 745
-    for lam in TAIL_SHAPES[TAIL_SHAPES / mu < 700][::2]:
+    for lam in TAIL_SHAPES[::2]:
         gig_params = GIGParams(alpha=lam / mu**2, beta=lam, p=0.5)
         for x in mu * np.geomspace(1e-2, 1e2, 9):
             cdf, _, gig, _ = (float(v) for v in _ig_tails(x, mu, lam))
             assert cdf == ig_cdf(x, IGParams(mu=mu, lam=lam))
+            # breaks at the mean and 10 sd past it too, or quad misses the
+            # narrow peak of a large shape
+            peak = (mu, mu + 10.0 * math.sqrt(mu**3 / lam))
+            points = [min(mu, x) / 2, *(p for p in peak if p < x)]
             direct, _ = integrate.quad(
-                lambda u: float(_ig_pdf(u, mu, lam)), 0.0, x, points=[min(mu, x) / 2], limit=400
+                lambda u: float(_ig_pdf(u, mu, lam)), 0.0, x, points=points, limit=400
             )
             assert cdf == pytest.approx(direct, abs=1e-9)
             assert gig == pytest.approx(gig_cdf(x, gig_params), abs=1e-9)
             assert ig_partial_expectation(x, 1, IGParams(mu=mu, lam=lam)) == pytest.approx(mu * gig, rel=1e-15)
+
+
+def test_gig_cdf_past_the_half_order_normalizer_underflow():
+    # sqrt(alpha beta) = 1000: K_{1/2} itself underflows to 0 there, and the
+    # density is a peak of relative width 3% in t = log u
+    params = GIGParams(alpha=1e5, beta=10.0, p=0.5)
+    got = gig_cdf(0.01, params)
+    assert got == pytest.approx(float(_ig_tails(0.01, 0.01, 10.0)[2]), abs=1e-9)
+    assert 0.4 < got < 0.6
+    assert gig_cdf(0.02, params) == pytest.approx(1.0, abs=1e-9)
+    assert gig_pdf(0.01, params) > 0.0
 
 
 @pytest.mark.parametrize("mu", TAIL_MEANS)

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from expansion_reference import (
     reference_bracket_positivity,
+    reference_constrained_refit,
+    reference_curve_point_admissible,
+    reference_exact_positivity,
     reference_laguerre,
     reference_laguerre_deriv,
     reference_positivity_boundary,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln
@@ -34,9 +39,11 @@ from multistop.expansion import (
     _bracket,
     _bracket_positivity,
     _coeffs,
+    _curve_admissible,
     _fit_coefficients,
     _laguerre_coeffs,
     _laguerre_deriv,
+    _positivity_verdicts,
 )
 from multistop.stopping import Horizon, compute_value_table
 
@@ -337,6 +344,71 @@ def test_positivity_finds_a_known_minimum(a, u0, m):
         assert res.u_violation == pytest.approx(u0, rel=1e-13)
 
 
+def _verdict_bits(res):
+    return res.positive, res.min_value.hex(), None if res.positive else res.u_violation.hex()
+
+
+@pytest.mark.parametrize("a", [0.3, 1.06, 2.25, 12.0])
+def test_batched_verdict_matches_the_one_row_and_frozen_verdicts(a):
+    rng = np.random.default_rng(23)
+    u_max = default_scan_limit(a)
+    curve = positivity_boundary(a, np.linspace(u_max / 50, u_max, 50))
+    near = [
+        _fit_coefficients(a, m3 * (1.0 + 1e-3 * rng.normal()), m4 * (1.0 + 1e-3 * rng.normal()))
+        for m3, m4 in zip(curve.mu3, curve.mu4)
+    ]
+    spread = [
+        _fit_coefficients(
+            a, 2.0 * a * (1.0 + rng.normal()), (3.0 * a * a + 6.0 * a) * (1.0 + rng.normal())
+        )
+        for _ in range(40)
+    ]
+    edge = [
+        (0.0, 0.0),  # a3 == a4 == 0: the slope trims to a constant
+        (0.05, 0.0),  # a4 == 0: the slope trims to a quadratic
+        (-0.05, 0.0),  # ... with a negative cubic term: far field
+        (1e-13, 0.0),
+        (0.05, 1e-13),  # |a4| inside the tolerance but nonzero
+        (0.02, -1e-13),
+        (0.0, -1e-3),  # negative leading coefficient: far field
+        (0.3, -2e-12),
+    ]
+    a3, a4 = np.array(near + spread + edge).T
+    positive, min_value, u_min = _positivity_verdicts(a, a3, a4, u_max)
+    far = 0
+    for i in range(a3.size):
+        batched = (
+            bool(positive[i]),
+            min_value[i].hex(),
+            None if positive[i] else u_min[i].hex(),
+        )
+        assert batched == _verdict_bits(_bracket_positivity(a, a3[i], a4[i], u_max))
+        assert batched == _verdict_bits(reference_exact_positivity(a, a3[i], a4[i], u_max))
+        far += bool(u_min[i] > u_max)
+    assert far >= 3 and not positive.all() and positive.any()
+
+
+@pytest.mark.parametrize("a", [0.3, 1.06, 12.0])
+def test_curve_admissibility_matches_the_frozen_per_point_verdict(a):
+    c3, c4, _, _ = _coeffs(a)
+
+    def b1(u):
+        return c3 * laguerre(3, a, u) - 12.0 * c4 * laguerre(4, a, u)
+
+    u_max = default_scan_limit(a)
+    coarse = np.linspace(u_max / 400, u_max, 400)
+    vals = b1(coarse)
+    cross = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    degenerate = [brentq(b1, coarse[i], coarse[i + 1], xtol=1e-300) for i in cross]
+    u = np.concatenate((coarse, degenerate))
+    skipped = positivity_boundary(a, u).skipped
+    assert len(skipped) > 0
+    admissible = _curve_admissible(a, u, u_max)
+    assert not admissible[np.isin(u, skipped)].any()
+    assert admissible.tolist() == [reference_curve_point_admissible(a, float(x)) for x in u]
+    assert admissible.any() and not admissible.all()
+
+
 # ---------------------------------------------------------------- E[min]
 
 
@@ -434,6 +506,34 @@ def test_constrained_refit_keeps_the_grid_scan_projection(
     assert refit.u_at_projection == u_proj
     assert refit.moments.mu3.hex() == mu3_hex
     assert refit.moments.mu4.hex() == mu4_hex
+
+
+@settings(max_examples=40)
+@given(
+    a=st.floats(0.2, 30.0),
+    mean=st.floats(0.5, 10.0),
+    skew=st.floats(-3.0, 8.0),
+    kurt=st.floats(0.1, 6.0),
+)
+def test_constrained_refit_matches_the_frozen_per_point_refit(a, mean, skew, kurt):
+    # mu3 and mu4 of the rescaled loss as multiples of the Gamma(a) values
+    moments = MomentSet(
+        mean=mean, variance=mean * mean / a, mu3=2.0 * a * skew, mu4=(3.0 * a * a + 6.0 * a) * kurt
+    )
+    assume(not fit_expansion(moments).positivity.positive)
+    try:
+        expected = reference_constrained_refit(moments)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            constrained_refit(moments)
+        return
+    segment, u_proj, projected, positivity = expected
+    refit = constrained_refit(moments)
+    assert [x.hex() for x in refit.segment] == [x.hex() for x in segment]
+    assert refit.u_at_projection.hex() == u_proj.hex()
+    assert refit.moments.mu3.hex() == projected.mu3.hex()
+    assert refit.moments.mu4.hex() == projected.mu4.hex()
+    assert refit.fit.positivity == positivity
 
 
 def test_moment_set_validation():
