@@ -224,7 +224,7 @@ def _positivity_verdicts(a: float, a3, a4, u_max: float):
     a4 = np.asarray(a4, dtype=float).ravel()
     min_value, u_min = np.empty(a3.size), np.empty(a3.size)
     cubic = a3 - 4.0 * (a + 3.0) * a4
-    far = (a4 < -POSITIVITY_TOL) | ((np.abs(a4) <= POSITIVITY_TOL) & (cubic < -POSITIVITY_TOL))
+    far = (a4 < -POSITIVITY_TOL) | ((a4 <= 0.0) & (cubic < -POSITIVITY_TOL))
     if far.any():
         f3, f4 = a3[far], a4[far]
         u_far = np.full(f3.size, max(2.0 * u_max, 10.0))

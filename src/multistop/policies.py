@@ -290,19 +290,13 @@ def pap_weights(
     lda: LDAModel, attachment: float, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> PAPWeights:
     """Conditioning weights for the PAP decompositions (count x crossing index)."""
-    m_max = lda.m_max
     mix = lda.mixture()
-    pm = mix.pm
-    mstar = np.array([mstar_pmf(j, lda, attachment, quad) for j in range(1, m_max + 1)])
-    dm = pm * mix.tails(attachment).cdf
-    dmm = np.zeros((m_max, m_max))
-    for m in range(1, m_max + 1):
-        dmm[: m, m - 1] = mstar[:m] * pm[m - 1]
-    return PAPWeights(dmm=dmm, dm=dm, mstar_pmf=mstar)
+    mstar = np.array([mstar_pmf(j, lda, attachment, quad) for j in range(1, lda.m_max + 1)])
+    dm = mix.pm * mix.tails(attachment).cdf
+    return PAPWeights(dmm=np.triu(mstar[:, None] * mix.pm), dm=dm, mstar_pmf=mstar)
 
 
-# Gauss-Legendre nodes on (0, attachment): PAP-local's crossing grid and
-# PAP-global's grid of gaps
+# CrossingLaw nodes of PAP-local's crossing grid and PAP-global's gaps
 _PAP_LOCAL_NODES = 256
 _PAP_GLOBAL_GAPS = 128
 # PAP-global's composite inner grid: Gauss-Legendre nodes per segment,
@@ -313,42 +307,53 @@ _PAP_TAIL_PER_OCTAVE = 32
 _PAP_GRADE = 0.5
 
 
+class CrossingLaw:
+    """The law of the PAP crossing index ``j`` and the sum ``s`` of the losses
+    before it, on an ``n``-node Gauss-Legendre grid ``s, w`` of ``(0, attachment)``.
+
+    ``dens[i - 1]`` is ``f_{S_i}(s)``, kept apart from ``w`` so that each model
+    keeps its own product order.  ``f``, ``sf`` and ``gig_sf`` are ``F``,
+    ``1 - F`` and ``1 - G`` of one loss at the ``gaps``: ``attachment - s``,
+    where ``sf`` is the crossing factor, and last the attachment, where it is
+    ``P[M* = 1]``.  ``never`` is the never-crossing mass ``sum_m p_m F_{S_m}(attachment)``.
+    """
+
+    def __init__(self, lda: LDAModel, attachment: float, n: int) -> None:
+        if not (math.isfinite(attachment) and attachment > 0):
+            raise ConfigError(f"attachment must be positive, got {attachment}")
+        mix = self.mix = lda.mixture()
+        self.at_att = mix.tails(attachment)
+        self.never = float(np.sum(mix.pm * self.at_att.cdf))
+        self.s, self.w = _leggauss(n, 0.0, attachment)
+        self.dens = _ig_pdf(self.s, mix.m_mu[:-1, None], mix.beta[:-1, None])
+        self.gaps = np.append(attachment - self.s, attachment)
+        self.f, self.sf, _, self.gig_sf = _ig_tails(self.gaps, lda.severity.mu, lda.severity.lam)
+
+
 class PapLocalGain(StopLossGain):
     """PAP, local objective: W = -(sum of losses up to the attachment crossing).
 
     Conditioning on the crossing index ``j``, the insured loss is the partial
     sum ``S_{j-1}`` restricted to the crossing event; those restricted
     expectations are one-dimensional integrals of smooth IG quantities over
-    ``(0, attachment)`` and are evaluated on a fixed Gauss-Legendre grid
+    ``(0, attachment)``, evaluated on the 256-node :class:`CrossingLaw`
     shared by every call.  Paths that never cross keep the plain IG-sum law
     below the attachment.
     """
 
     def __init__(self, lda: LDAModel, attachment: float) -> None:
-        if not (math.isfinite(attachment) and attachment > 0):
-            raise ConfigError(f"attachment must be positive, got {attachment}")
+        law = CrossingLaw(lda, attachment, _PAP_LOCAL_NODES)
         self.lda = lda
         self.attachment = attachment
-        mu, lam = lda.severity.mu, lda.severity.lam
-        mix = self._mix = lda.mixture()
-        at_att = mix.tails(attachment)
-        self._f_att = at_att.cdf
-
-        nodes, wts = _leggauss(_PAP_LOCAL_NODES, 0.0, attachment)
-        self._nodes = nodes
-        cross = _ig_tails(attachment - nodes, mu, lam)[1]  # next loss crosses
+        mix = self._mix = law.mix
+        self._nodes, self._never = law.s, law.never
         # g[q] aggregates, over all crossing indices j >= 2, the sub-density of
-        # the retained sum at the node, weighted by P[N >= j].
-        g = np.zeros(_PAP_LOCAL_NODES)
-        for j in range(2, lda.m_max + 1):
-            prev = j - 1
-            dens = _ig_pdf(nodes, prev * mu, prev * prev * lam)
-            p_at_least_j = poisson_sf(j - 1, lda.frequency)
-            g += p_at_least_j * wts * cross * dens
-        self._g = g
-        self._atom = mix.p0 + (1.0 - mix.p0) * float(_ig_tails(attachment, mu, lam)[1])
-        mean_cross = float(np.sum(nodes * g))
-        mean_never = float(np.sum(mix.pm * at_att.lower_mean))
+        # the retained sum at the node, weighted by P[N >= j], added in order of j
+        p_cross = np.array([poisson_sf(j - 1, lda.frequency) for j in range(2, lda.m_max + 1)])
+        self._g = np.sum(p_cross[:, None] * law.w * law.sf[:-1] * law.dens, axis=0)
+        self._atom = mix.p0 + (1.0 - mix.p0) * float(law.sf[-1])
+        mean_cross = float(np.sum(law.s * self._g))
+        mean_never = float(np.sum(mix.pm * law.at_att.lower_mean))
         super().__init__(-(mean_cross + mean_never))
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
@@ -364,8 +369,7 @@ class PapLocalGain(StopLossGain):
 
     def total_mass(self) -> float:
         """Atom plus quadrature mass of all branches; 1 up to grid error."""
-        never = float(np.sum(self._mix.pm * self._f_att))
-        return self._atom + float(np.sum(self._g)) + never
+        return self._atom + float(np.sum(self._g)) + self._never
 
 
 class PapGlobalGain(StopLossGain):
@@ -374,8 +378,8 @@ class PapGlobalGain(StopLossGain):
     Conditional on ``N = m`` and crossing index ``j``, the gain is the
     crossing loss ``x`` (restricted to exceed the remaining gap ``u``) plus
     an unconstrained IG sum ``S_r`` of the ``r = m - j`` subsequent losses.
-    Expectations integrate over ``u`` on a fixed Gauss-Legendre grid of
-    ``(0, attachment)`` (``u`` is the attachment itself when the first loss
+    Expectations integrate over ``u`` on the gaps of the 128-node
+    :class:`CrossingLaw` (``u`` is the attachment itself when the first loss
     crosses) and are exact in ``x``, except for the residual sum's
     stop-loss transform ``SL_r(delta - x)``.  Exchanging the two sums
     integrates that term once for all gaps, weighted by the step function
@@ -389,23 +393,19 @@ class PapGlobalGain(StopLossGain):
     local = False
 
     def __init__(self, lda: LDAModel, attachment: float) -> None:
-        if not (math.isfinite(attachment) and attachment > 0):
-            raise ConfigError(f"attachment must be positive, got {attachment}")
+        law = CrossingLaw(lda, attachment, _PAP_GLOBAL_GAPS)
         self.lda = lda
         self.attachment = attachment
         mu, lam = lda.severity.mu, lda.severity.lam
         self._mu, self._lam = mu, lam
         m_max = lda.m_max
-        mix = lda.mixture()
-        self.prob_zero_gain = mix.p0 + float(np.sum(mix.pm * mix.tails(attachment).cdf))
+        mix = law.mix
+        self.prob_zero_gain = mix.p0 + law.never
 
-        nodes, wts = _leggauss(_PAP_GLOBAL_GAPS, 0.0, attachment)
-        self._u = attachment - nodes  # gap the crossing loss must exceed
         # h[r, q]: total weight on (pre-crossing sum at node q, r losses after
         # the crossing) = sum_i P[N = i + r + 1] w_q f_{S_i}(node_q)
-        h = np.zeros((m_max, nodes.size))
-        for i in range(1, m_max):
-            dens = wts * _ig_pdf(nodes, i * mu, i * i * lam)
+        h = np.zeros((m_max, law.s.size))
+        for i, dens in enumerate(law.w * law.dens, start=1):
             for r in range(0, m_max - i):
                 h[r] += mix.pm[i + r] * dens
         # effective support bounds: where the crossing-loss density and the
@@ -428,18 +428,17 @@ class PapGlobalGain(StopLossGain):
         # gap is the attachment itself, with weight P[N = r + 1], when the
         # first loss crosses
         r = np.arange(m_max)
-        self._gaps = np.append(self._u, attachment)
+        self._gaps, self._gap_f, self._gap_sf = law.gaps, law.f, law.sf
         self._gap_w = np.append(h.sum(axis=0), mix.pm.sum())
         self._gap_rw = np.append(r @ h, r @ mix.pm)
-        self._gap_f, self._gap_sf, _, gap_gig_sf = _ig_tails(self._gaps, mu, lam)
-        self._gap_tail_first = mu * gap_gig_sf
+        self._gap_tail_first = mu * law.gig_sf
         super().__init__(float(self._gap_terms(np.zeros(1))[0]))  # E[max{W, 0}] = E[W]
 
         # the composite x grid, H_r on each of its segments for r >= 1, and
         # the nodes with their weights w f_X(x) H_r(x)
         n_tail = math.ceil(_PAP_TAIL_PER_OCTAVE * math.log2(x_hi / attachment))
-        order = np.argsort(self._u)
-        cuts = np.concatenate((self._u[order], np.geomspace(attachment, x_hi, n_tail + 1)))
+        order = np.argsort(law.gaps[:-1])
+        cuts = np.concatenate((law.gaps[order], np.geomspace(attachment, x_hi, n_tail + 1)))
         steps = np.cumsum(np.concatenate((h[1:, order], mix.pm[1:, None]), axis=1), axis=1)
         self._cuts = cuts
         self._seg_h = steps[:, np.minimum(np.arange(cuts.size - 1), steps.shape[1] - 1)]

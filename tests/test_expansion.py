@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,17 @@ def test_positivity_finds_a_known_minimum(a, u0, m):
     assert res.positive == (m > 0)
     if m < 0:
         assert res.u_violation == pytest.approx(u0, rel=1e-13)
+
+
+def test_tiny_positive_leading_coefficient_is_judged_on_the_window():
+    # 0 < a4 <= POSITIVITY_TOL under a negative cubic term: the quartic still
+    # rises for large u, so no doubling search for a negative value (which
+    # would overflow to NaN); 1 + 1e-13 L4 stays within 3e-11 of 1 on the window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _bracket_positivity(1.06, 0.0, 1e-13, default_scan_limit(1.06))
+    assert res.positive
+    assert res.min_value == pytest.approx(1.0, abs=1e-10)
 
 
 def _verdict_bits(res):
