@@ -10,12 +10,10 @@ harness for rule-comparison studies.
 __version__ = "0.1.0"
 
 from .distributions import (
-    DEFAULT_QUAD,
     FrequencyModel,
     GIGParams,
     IGParams,
     NumericalError,
-    QuadratureSpec,
     bessel_k,
     gig_cdf,
     gig_pdf,

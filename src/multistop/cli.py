@@ -34,6 +34,7 @@ from .policies import (
     GLOBAL,
     LOCAL,
     ConfigError,
+    _require,
     gain_model_from_config,
     horizon_from_config,
     lda_from_config,
@@ -180,18 +181,19 @@ def _moments_from_config(cfg: dict) -> expansion.MomentSet:
     if "moments" in cfg:
         mo = cfg["moments"]
         return expansion.MomentSet.from_loss_moments(
-            float(mo["mean"]), float(mo["variance"]), float(mo["mu3"]), float(mo["mu4"])
+            *(float(_require(mo, key)) for key in ("mean", "variance", "mu3", "mu4"))
         )
     src = cfg.get("source")
     if not src:
         raise ConfigError("approx needs either \"moments\" or \"source\" in the config")
-    kind = src.get("kind")
+    kind = _require(src, "kind")
     if kind == "lognormal-poisson":
-        raw = expansion.lognormal_raw_moments(float(src["mu"]), float(src["sigma"]))
-        mean, var, mu3, mu4 = expansion.compound_poisson_loss_moments(float(src["rate"]), raw)
+        mu, sigma, rate = (float(_require(src, key)) for key in ("mu", "sigma", "rate"))
+        raw = expansion.lognormal_raw_moments(mu, sigma)
+        mean, var, mu3, mu4 = expansion.compound_poisson_loss_moments(rate, raw)
         return expansion.MomentSet.from_loss_moments(mean, var, mu3, mu4)
     if kind == "gamma":
-        shape, rate = float(src["shape"]), float(src["rate"])
+        shape, rate = float(_require(src, "shape")), float(_require(src, "rate"))
         return expansion.MomentSet.from_loss_moments(
             shape / rate, shape / rate**2, 2 * shape / rate**3, (3 * shape + 6) * shape / rate**4
         )

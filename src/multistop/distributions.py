@@ -88,22 +88,10 @@ class FrequencyModel:
             raise ValueError(f"Poisson rate must be positive and finite, got {self.rate}")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive quadrature controls shared by the CDF/expectation integrals."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# gig_cdf's quadrature: absolute and relative tolerance, subinterval limit
+_GIG_ABS_TOL = 1e-10
+_GIG_REL_TOL = 1e-10
+_GIG_LIMIT = 200
 
 _HALF_ORDER_TOL = 1e-12
 
@@ -296,7 +284,7 @@ def gig_pdf(x, params: GIGParams):
     return _scalar_or_array(x, out)
 
 
-def gig_cdf(x: float, params: GIGParams, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def gig_cdf(x: float, params: GIGParams) -> float:
     """GIG distribution function by adaptive quadrature of the density.
 
     The substitution ``u = exp(t)`` maps (0, x] to (-inf, log x] and removes
@@ -336,13 +324,13 @@ def gig_cdf(x: float, params: GIGParams, quad: QuadratureSpec = DEFAULT_QUAD) ->
                 integrand,
                 lo,
                 hi,
-                epsabs=quad.abs_tol,
-                epsrel=quad.rel_tol,
-                limit=quad.max_subdivisions,
+                epsabs=_GIG_ABS_TOL,
+                epsrel=_GIG_REL_TOL,
+                limit=_GIG_LIMIT,
                 full_output=True,
             )[:2]
             val, err = val + piece, err + piece_err
-    if err > max(quad.abs_tol * 10.0, abs(val) * quad.rel_tol * 10.0) and err > 1e-9:
+    if err > max(_GIG_ABS_TOL * 10.0, abs(val) * _GIG_REL_TOL * 10.0) and err > 1e-9:
         raise NumericalError(
             f"gig_cdf quadrature did not converge at x={x}, params={params}: "
             f"value={val}, error estimate={err}"

@@ -26,18 +26,15 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 
 from .distributions import (
-    DEFAULT_QUAD,
     POISSON_TAIL,
     FrequencyModel,
     CompoundIG,
     IGParams,
-    QuadratureSpec,
     _ig_cdf,
     _ig_pdf,
     _ig_tails,
@@ -244,54 +241,41 @@ def alp_global_model(lda: LDAModel, cap: float) -> AlpGlobalGain:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _mstar_pmf_cached(
-    m_star: int, lda: LDAModel, attachment: float, quad: QuadratureSpec
-) -> float:
-    from scipy import integrate
+def _crossing_pmf(lda: LDAModel, attachment: float, lo: int, hi: int) -> np.ndarray:
+    """``P[M* = j]`` for ``j = lo..hi``, in closed form.
 
-    mu, lam = lda.severity.mu, lda.severity.lam
-    if m_star == 1:
-        return float(_ig_tails(attachment, mu, lam)[1])
-    j = m_star - 1
-
-    def integrand(a: float) -> float:
-        return _ig_tails(attachment - a, mu, lam)[1] * _ig_pdf(a, j * mu, j * j * lam)
-
-    val, _ = integrate.quad(
-        integrand,
-        0.0,
-        attachment,
-        epsabs=quad.abs_tol,
-        epsrel=quad.rel_tol,
-        limit=quad.max_subdivisions,
-    )
-    return float(val)
+    Severities are positive, so ``{S_j <= a} ⊂ {S_{j-1} <= a}`` and
+    ``P[M* = j] = F_{S_{j-1}}(a) - F_{S_j}(a)`` with ``S_0 = 0``.  Where
+    ``F_{S_{j-1}}(a) > 1/2`` the difference is taken between the survival
+    values, which the tails kernel gives exactly, so ``j = 1`` is exactly
+    ``1 - F_X(a)`` and no small term is a difference of CDFs rounded to 1.
+    """
+    if not (math.isfinite(attachment) and attachment > 0):
+        raise ValueError(f"attachment must be positive, got {attachment}")
+    j = np.arange(max(lo - 1, 1), hi + 1)
+    cdf, sf, _, _ = _ig_tails(attachment, j * lda.severity.mu, j * j * lda.severity.lam)
+    if lo == 1:  # S_0 = 0 lies below the attachment
+        cdf, sf = np.append(1.0, cdf), np.append(0.0, sf)
+    pmf = np.where(cdf[:-1] > 0.5, sf[1:] - sf[:-1], cdf[:-1] - cdf[1:])
+    return np.maximum(pmf, 0.0)
 
 
-def mstar_pmf(
-    m_star: int, lda: LDAModel, attachment: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def mstar_pmf(m_star: int, lda: LDAModel, attachment: float) -> float:
     """P[the running severity sum first exceeds the attachment at index m*].
 
     Independent of the annual count: the event only constrains the first
-    ``m_star`` severities.  ``m_star = 1`` is the single-loss exceedance
-    probability; larger indices integrate the single-loss tail against the
-    density of the previous partial sum.
+    ``m_star`` severities.  It is ``F_{S_{m*-1}}(a) - F_{S_{m*}}(a)``, so
+    ``m_star = 1`` is the single-loss exceedance probability.
     """
     if m_star < 1:
         raise ValueError(f"m_star must be >= 1, got {m_star}")
-    if not (math.isfinite(attachment) and attachment > 0):
-        raise ValueError(f"attachment must be positive, got {attachment}")
-    return _mstar_pmf_cached(m_star, lda, attachment, quad)
+    return float(_crossing_pmf(lda, attachment, m_star, m_star)[0])
 
 
-def pap_weights(
-    lda: LDAModel, attachment: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> PAPWeights:
+def pap_weights(lda: LDAModel, attachment: float) -> PAPWeights:
     """Conditioning weights for the PAP decompositions (count x crossing index)."""
     mix = lda.mixture()
-    mstar = np.array([mstar_pmf(j, lda, attachment, quad) for j in range(1, lda.m_max + 1)])
+    mstar = _crossing_pmf(lda, attachment, 1, lda.m_max)
     dm = mix.pm * mix.tails(attachment).cdf
     return PAPWeights(dmm=np.triu(mstar[:, None] * mix.pm), dm=dm, mstar_pmf=mstar)
 
@@ -378,11 +362,11 @@ class PapGlobalGain(StopLossGain):
     Conditional on ``N = m`` and crossing index ``j``, the gain is the
     crossing loss ``x`` (restricted to exceed the remaining gap ``u``) plus
     an unconstrained IG sum ``S_r`` of the ``r = m - j`` subsequent losses.
-    Expectations integrate over ``u`` on the gaps of the 128-node
+    Expectations are sums over ``u`` on the gaps of the 128-node
     :class:`CrossingLaw` (``u`` is the attachment itself when the first loss
     crosses) and are exact in ``x``, except for the residual sum's
     stop-loss transform ``SL_r(delta - x)``.  Exchanging the two sums
-    integrates that term once for all gaps, weighted by the step function
+    evaluates that term once for all gaps, weighted by the step function
     ``H_r(x)``, the weight of the gaps below ``x``.  It runs on one
     composite Gauss-Legendre grid in ``x``, split at every gap, at the
     attachment and geometrically above it, built with its weights
@@ -663,6 +647,9 @@ def ilp_global_model(sample: EmpiricalGainSample) -> EmpiricalGain:
 
 
 def _require(cfg: dict, key: str) -> object:
+    """``cfg[key]``; a ConfigError if ``cfg`` is not a JSON object or lacks the key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected a JSON object holding {key!r}, got {type(cfg).__name__}")
     if key not in cfg:
         raise ConfigError(f"missing config field {key!r}")
     return cfg[key]
@@ -731,10 +718,10 @@ def gain_model_from_config(cfg: dict):
     """
     if "lognormal" in cfg:
         ln = cfg["lognormal"]
-        return lognormal_local_model(float(ln.get("mu", 0.0)), float(ln.get("sigma", 1.0)))
+        return lognormal_local_model(float(_require(ln, "mu")), float(_require(ln, "sigma")))
     if "gamma" in cfg:
         gm = cfg["gamma"]
-        return gamma_local_model(float(gm["shape"]), float(gm["rate"]))
+        return gamma_local_model(float(_require(gm, "shape")), float(_require(gm, "rate")))
     if policy_choice(cfg) == ("ILP", LOCAL):
         return ilp_local_model(aux_from_config(cfg))
     policy = policy_from_config(cfg)

@@ -26,6 +26,8 @@ from .distributions import (
     _ig_pdf,
 )
 from .policies import (
+    _PAP_LOCAL_NODES,
+    CrossingLaw,
     LDAModel,
     alp_global_model,
     alp_local_model,
@@ -95,12 +97,15 @@ def run_validation_suite() -> list[Check]:
     err = _normalization_error(lda, cap=4.0, attachment=3.0)
     checks.append(_check("policy mixtures normalize", err, 1e-6))
 
-    # crossing-index pmf partition: sum_{m* <= m} P[M* = m*] + F_{S_m}(att) = 1
+    # crossing pmf: PAP-local's quadrature of P[M* = j] = sum_q w sf f_{S_{j-1}}
+    # against the closed form F_{S_{j-1}}(att) - F_{S_j}(att)
     att = 3.0
-    m = 5
-    mass = sum(mstar_pmf(j, lda, att) for j in range(1, m + 1))
-    mass += ig_cdf(att, ig_sum_params(m, lda.severity))
-    checks.append(_check("crossing pmf partition identity", abs(mass - 1.0), 1e-8))
+    law = CrossingLaw(lda, att, _PAP_LOCAL_NODES)
+    err = max(
+        abs(float(np.sum(law.w * law.sf[:-1] * law.dens[j - 2])) - mstar_pmf(j, lda, att))
+        for j in range(2, lda.m_max + 1)
+    )
+    checks.append(_check("crossing law vs closed-form crossing pmf", err, 1e-8))
 
     # value recursion spot values for the lognormal reference model
     table = compute_value_table(lognormal_local_model(0.0, 1.0), Horizon(T=10, k=9))

@@ -390,11 +390,56 @@ def test_non_object_json_config_is_a_config_error(tmp_path, capsys, command):
     assert json.loads(err.strip())["error"]["type"] == "config"
 
 
+_MODEL_BASE = {
+    "frequency": {"rate": 3.0},
+    "severity": {"mu": 1.0, "lambda": 1.0},
+    "policy": {"kind": "ALP", "param": 4.0},
+    "objective": "local",
+    "horizon": {"T": 3, "k": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("value-table", {**_MODEL_BASE, "frequency": 3}),
+        ("value-table", {"lognormal": 5, "objective": "local", "horizon": {"T": 3, "k": 2}}),
+        ("approx", {"source": "gamma"}),
+        ("approx", {"moments": [1, 2]}),
+        ("approx", {"source": {**_MODEL_BASE, "kind": "policy", "frequency": 3}}),
+    ],
+    ids=["frequency", "lognormal", "source", "moments", "policy-source"],
+)
+def test_non_object_config_entry_is_a_config_error(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    _, err = capsys.readouterr()
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == 2 and error["type"] == "config"
+
+
+def _scipy_integrate_modules_after(statements: str) -> str:
+    src = str(Path(multistop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"import sys\n{statements}\nprint(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg; the
     # package imports it only inside the functions that integrate
-    src = str(Path(multistop.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, multistop.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _scipy_integrate_modules_after("import multistop.cli") == "[]"
+
+
+def test_pap_weights_leave_scipy_integrate_unloaded():
+    # the crossing pmf is a difference of IG-sum CDFs, not a quadrature
+    statements = (
+        "from multistop import FrequencyModel, IGParams, LDAModel, pap_weights\n"
+        "pap_weights(LDAModel(FrequencyModel(3.0), IGParams(1.0, 1.0)), 4.0)"
+    )
+    assert _scipy_integrate_modules_after(statements) == "[]"

@@ -9,13 +9,12 @@ from scipy import integrate
 from scipy.special import kv, ndtr
 from scipy.stats import kstest
 
+from multistop import distributions
 from multistop.distributions import (
-    DEFAULT_QUAD,
     FrequencyModel,
     GIGParams,
     IGParams,
     NumericalError,
-    QuadratureSpec,
     _gig_half_cdf,
     _ig_cdf,
     _ig_pdf,
@@ -181,11 +180,13 @@ def test_gig_order_shift_density_identity():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_gig_cdf_nonconvergence_raises():
+def test_gig_cdf_nonconvergence_raises(monkeypatch):
     params = GIGParams(alpha=1.0, beta=4.0, p=0.5)
-    tight = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
+    monkeypatch.setattr(distributions, "_GIG_ABS_TOL", 1e-30)
+    monkeypatch.setattr(distributions, "_GIG_REL_TOL", 1e-30)
+    monkeypatch.setattr(distributions, "_GIG_LIMIT", 2)
     with pytest.raises(NumericalError):
-        gig_cdf(2.0, params, tight)
+        gig_cdf(2.0, params)
 
 
 # ---------------------------------------------------------------- IG sums
@@ -370,8 +371,6 @@ def test_parameter_validation():
         GIGParams(alpha=0.0, beta=1.0, p=0.5)
     with pytest.raises(ValueError):
         FrequencyModel(rate=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
     assert ig_sf(1.0, IGParams(mu=1.0, lam=1.0)) == pytest.approx(
         1.0 - ig_cdf(1.0, IGParams(mu=1.0, lam=1.0))
     )

@@ -14,7 +14,14 @@ from mc_oracles import (
     mc_expected_max,
     pap_paths,
 )
-from multistop.distributions import FrequencyModel, IGParams, _ig_pdf, ig_cdf, ig_sum_params
+from multistop.distributions import (
+    FrequencyModel,
+    IGParams,
+    _ig_pdf,
+    ig_cdf,
+    ig_sum_params,
+    sample_ig,
+)
 from multistop.expansion import (
     MomentSet,
     compound_poisson_loss_moments,
@@ -54,6 +61,7 @@ from multistop.stopping import (
 from pap_global_reference import ReferencePapGlobal
 from pap_law_reference import ReferencePapGlobal as FrozenPapGlobal
 from pap_law_reference import ReferencePapLocal as FrozenPapLocal
+from quad_oracle import crossing_pmf_quadrature
 from table_reference import reference_value_table
 
 ALP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
@@ -757,12 +765,15 @@ def _assert_pap_models_equal_frozen(lda, attachment, local_horizon, global_horiz
 
 
 # (rate, mu, lambda, attachment): the pap-study preset, a skewed severity
-# whose crossing law the grids do not resolve, and two more contracts
+# whose crossing law the grids do not resolve, two more contracts, and a
+# concentrated severity: losses of sd 1e-5 about 0.01, so the ninth loss takes
+# the running total past the attachment with probability one half
 PAP_LAW_CASES = {
     "preset": (3.0, 1.0, 1.0, 4.0),
     "skewed": (1.0, 10.0, 1.0, 100.0),
     "rate-2": (2.0, 1.5, 1.0, 3.0),
     "rate-20": (20.0, 0.5, 2.0, 7.0),
+    "concentrated": (3.0, 0.01, 1e4, 0.09),
 }
 
 
@@ -800,17 +811,73 @@ def test_pap_sweep_models_equal_the_frozen_construction(rate, mu, lam, scale):
                 "by 1.2e-6; a grid split at the IG-sum modes should close it",
             ),
         ),
+        *(
+            pytest.param(
+                "concentrated",
+                n,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="a plain grid misses the crossing law of a concentrated severity: "
+                    f"P[M* = j] is off by {miss} at {n} nodes",
+                ),
+            )
+            for n, miss in ((128, 4.09), (256, 0.50))
+        ),
     ],
 )
 def test_crossing_law_matches_the_quad_crossing_pmf(name, n):
-    # sum_q w cross f_{S_{j-1}} is P[M* = j]; mstar_pmf integrates it adaptively
+    # sum_q w cross f_{S_{j-1}} is P[M* = j]; mstar_pmf gives it in closed form
     rate, mu, lam, attachment = PAP_LAW_CASES[name]
     lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
     law = CrossingLaw(lda, attachment, n)
     assert law.sf[-1] == mstar_pmf(1, lda, attachment)
-    for j in range(2, 9):
+    for j in range(2, lda.m_max + 1):
         grid = np.sum(law.w * law.sf[:-1] * law.dens[j - 2])
         assert abs(grid - mstar_pmf(j, lda, attachment)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["preset", "rate-2", "skewed"])
+def test_mstar_pmf_matches_the_quad_oracle(name):
+    # also past the count truncation, and bit for bit the pmf of pap_weights
+    rate, mu, lam, attachment = PAP_LAW_CASES[name]
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    weights = pap_weights(lda, attachment)
+    for j in range(1, lda.m_max + 4):
+        p = mstar_pmf(j, lda, attachment)
+        assert abs(p - crossing_pmf_quadrature(j, mu, lam, attachment)) <= 1e-12
+        assert j > lda.m_max or p == weights.mstar_pmf[j - 1]
+
+
+def test_mstar_pmf_matches_mc_at_a_concentrated_contract(rng):
+    rate, mu, lam, attachment = PAP_LAW_CASES["concentrated"]
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    n, depth = 200_000, 12  # S_12 is 800 sd above the attachment
+    running = np.cumsum(sample_ig(lda.severity, rng, size=(n, depth)), axis=1)
+    crossing = 1 + np.sum(running <= attachment, axis=1)
+    assert np.all(crossing <= depth)
+    for j in range(1, depth + 1):
+        p = mstar_pmf(j, lda, attachment)
+        p_hat = float(np.mean(crossing == j))
+        assert abs(p - p_hat) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+    assert mstar_pmf(9, lda, attachment) == pytest.approx(0.5, abs=1e-3)
+
+
+@given(
+    rate=_log_uniform(0.1, 100.0),
+    mu=_log_uniform(0.01, 100.0),
+    lam=_log_uniform(1e-3, 1e4),
+    scale=_log_uniform(1e-6, 1e3),
+)
+def test_mstar_pmf_sweep_is_a_partition(rate, mu, lam, scale):
+    # sum_{j <= m} P[M* = j] + F_{S_m}(a) = 1 for every m, with no warning
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    attachment = scale * lda.mean_annual_loss
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pmf = pap_weights(lda, attachment).mstar_pmf
+        never = lda.mixture().tails(attachment).cdf
+    assert np.all((pmf >= 0.0) & (pmf <= 1.0))
+    assert np.max(np.abs(np.cumsum(pmf) + never - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------- consistency
