@@ -35,6 +35,7 @@ from .policies import (
     LOCAL,
     ConfigError,
     _require,
+    _section,
     gain_model_from_config,
     horizon_from_config,
     lda_from_config,
@@ -79,16 +80,20 @@ def _model_and_table(args):
         cfg = deepcopy(VALUE_TABLE_PRESETS[args.preset])
     else:
         cfg = preset_config(args.preset)
-    if args.horizon_T is not None:
-        cfg.setdefault("horizon", {})["T"] = args.horizon_T
-    if args.horizon_k is not None:
-        cfg.setdefault("horizon", {})["k"] = args.horizon_k
+    for section, key, value in (
+        ("horizon", "T", args.horizon_T),
+        ("horizon", "k", args.horizon_k),
+        ("mc", "seed", args.seed),
+    ):
+        if value is not None:
+            cfg[section] = {**_section(cfg, section), key: value}
     if args.objective:
         cfg["objective"] = args.objective
     elif "objective" not in cfg and cfg.get("objectives"):
-        cfg["objective"] = cfg["objectives"][0]
-    if args.seed is not None:
-        cfg.setdefault("mc", {})["seed"] = args.seed
+        objectives = cfg["objectives"]
+        if not isinstance(objectives, list):
+            raise ConfigError(f"config field 'objectives' must be a JSON list, got {objectives!r}")
+        cfg["objective"] = objectives[0]
     horizon = horizon_from_config(cfg)
     model = gain_model_from_config(cfg)
     return model, horizon, compute_value_table(model, horizon)

@@ -289,6 +289,11 @@ _PAP_GLOBAL_GAPS = 128
 _PAP_SEG_NODES = 8
 _PAP_TAIL_PER_OCTAVE = 32
 _PAP_GRADE = 0.5
+# PAP-global's inner integral evaluates the tails of S_r only where
+# a_r = sqrt(lam/y) (y/mu - r) > -_PAP_BAND (elsewhere 1 - F and 1 - G round
+# to 1.0), over blocks of _PAP_BLOCK nodes, sized to keep them in cache
+_PAP_BAND = 9.0
+_PAP_BLOCK = 256
 
 
 class CrossingLaw:
@@ -372,6 +377,14 @@ class PapGlobalGain(StopLossGain):
     attachment and geometrically above it, built with its weights
     ``f_X(x) H_r(x)`` at construction; a call only adds pieces graded
     geometrically toward ``x = delta``, where ``SL_r`` is least smooth.
+
+    ``SL_r(y) = r mu (1 - G) - y (1 - F)`` takes the tails of ``S_r`` only
+    below the band ``r >= y/mu + 9 sqrt(y/lam)``: there ``a_r = sqrt(lam/y)
+    (y/mu - r) <= -9``, so ``Phi(a_r)`` is below 1.2e-19 and both tails round
+    to exactly 1.0, which leaves ``r mu - y``.  The nodes run from small to
+    large ``x``, so the rows below the band shrink along them; the kernel
+    takes them in blocks of ``_PAP_BLOCK`` nodes, each with the rows its
+    largest ``y`` needs, which keeps its temporaries in cache.
     """
 
     local = False
@@ -452,12 +465,14 @@ class PapGlobalGain(StopLossGain):
             + delta * np.sum(below, axis=1)
         )
 
-    def _inner(self, d: float) -> float:
-        """``int f_X(x) H_r(x) SL_r(d - x) dx`` over ``x < d``, summed over r."""
+    def _grid(self, d: float) -> tuple[slice, np.ndarray]:
+        """The grid of ``_inner`` for ``d``: a slice of the static nodes, then
+        the breakpoints of the graded pieces after it (empty when there are
+        none).  Both are empty when nothing of ``x < d`` is left to integrate."""
         cuts, p = self._cuts, _PAP_SEG_NODES
         a, b = max(cuts[0], d - self._s_cap), min(d, self._x_hi)
         if not a < b:
-            return 0.0
+            return slice(0, 0), np.empty(0)
         # the segments from the one holding a (SL_r vanishes beyond s_cap, so
         # all of it) to the one holding b; a segment wider than a graded piece
         # at its distance from d is near, and from the first near one on the
@@ -468,23 +483,37 @@ class PapGlobalGain(StopLossGain):
         width = right - cuts[s_lo : s_hi + 1]
         near = np.flatnonzero(width > (d - right) * (1.0 / _PAP_GRADE - 1.0))
         s_near = s_lo + int(near[0]) if near.size else s_hi + 1
-        x, hx = self._x[s_lo * p : s_near * p], self._hx[:, s_lo * p : s_near * p]
-        if s_near <= s_hi:
-            # the near segments up to b, cut also where the distance from d
-            # falls geometrically from their start down to y_lin
-            d0, d_end = d - cuts[s_near], max(d - b, self._y_lin)
-            n_grade = max(math.ceil(math.log(d0 / d_end) / -math.log(_PAP_GRADE)) - 1, 0)
-            ladder = d - d0 * _PAP_GRADE ** np.arange(1, n_grade + 1)
-            inside = cuts[s_near + 1 : s_hi + 1]
-            pts = np.unique(np.concatenate(([cuts[s_near], b], inside, ladder)))
-            x_new, wf = self._pieces(pts[:-1], pts[1:])
-            seg = np.searchsorted(cuts, 0.5 * (pts[:-1] + pts[1:]), "right") - 1
-            x = np.concatenate((x, x_new))
-            hx = np.concatenate((hx, np.repeat(self._seg_h[:, seg], p, axis=1) * wf), axis=1)
-        y = d - x
-        rr = self._rr
-        _, fs_bar, _, fh_bar = _ig_tails(y, rr * self._mu, rr * rr * self._lam)
-        return float(np.sum((rr * self._mu * fh_bar - y * fs_bar) * hx))
+        static = slice(s_lo * p, s_near * p)
+        if s_near > s_hi:
+            return static, np.empty(0)
+        # the near segments up to b, cut also where the distance from d
+        # falls geometrically from their start down to y_lin
+        d0, d_end = d - cuts[s_near], max(d - b, self._y_lin)
+        n_grade = max(math.ceil(math.log(d0 / d_end) / -math.log(_PAP_GRADE)) - 1, 0)
+        ladder = d - d0 * _PAP_GRADE ** np.arange(1, n_grade + 1)
+        inside = cuts[s_near + 1 : s_hi + 1]
+        return static, np.unique(np.concatenate(([cuts[s_near], b], inside, ladder)))
+
+    def _inner(self, d: float, static: slice, x_new: np.ndarray, hx_new: np.ndarray) -> float:
+        """``int f_X(x) H_r(x) SL_r(d - x) dx`` over ``x < d``, summed over r, on
+        the static nodes and then the graded ones with their weights."""
+        y = d - np.concatenate((self._x[static], x_new))
+        rr, mu, lam = self._rr, self._mu, self._lam
+        mu_r, lam_r = rr * mu, rr * rr * lam
+        # SL_r(y) = r mu (1 - G) - y (1 - F) for S_r; both tails are 1.0 in
+        # the band, so only each block's rows below it take the kernel
+        sl = mu_r - y
+        for c in range(0, y.size, _PAP_BLOCK):
+            blk = slice(c, c + _PAP_BLOCK)
+            y_top = max(float(y[blk].max()), 0.0)
+            k = min(math.ceil(y_top / mu + _PAP_BAND * math.sqrt(y_top / lam)) - 1, rr.size)
+            if k > 0:
+                _, fs_bar, _, fh_bar = _ig_tails(y[blk], mu_r[:k], lam_r[:k])
+                sl[:k, blk] = mu_r[:k] * fh_bar - y[blk] * fs_bar
+        n_static = y.size - x_new.size
+        sl[:, :n_static] *= self._hx[:, static]
+        sl[:, n_static:] *= hx_new
+        return float(np.sum(sl))
 
     def continuous_mass(self) -> float:
         """Quadrature mass of the strictly-positive-gain branches."""
@@ -492,10 +521,20 @@ class PapGlobalGain(StopLossGain):
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         # E[max{W, d}] - d over the positive-gain branches, plus the zero-gain
-        # atom.  The gap terms take the whole row at once; the inner integral
-        # takes one d at a time, which keeps its temporaries at
-        # (m_max - 1) x nodes.
-        inner = np.array([self._inner(d) for d in delta.tolist()])
+        # atom.  The gap terms and the densities of the graded pieces take the
+        # whole row at once; the inner integral takes one d at a time on its
+        # own grid, and the IG-sum tails in it only below the band, one block
+        # of nodes at a time.
+        grids = [self._grid(d) for d in delta.tolist()]
+        lo = np.concatenate([np.empty(0), *(pts[:-1] for _, pts in grids)])
+        hi = np.concatenate([np.empty(0), *(pts[1:] for _, pts in grids)])
+        x_new, wf = self._pieces(lo, hi)
+        cols = np.repeat(np.searchsorted(self._cuts, 0.5 * (lo + hi), "right") - 1, _PAP_SEG_NODES)
+        inner, end = np.zeros(delta.size), 0
+        for i, (d, (static, pts)) in enumerate(zip(delta.tolist(), grids)):
+            new = slice(end, end + max(pts.size - 1, 0) * _PAP_SEG_NODES)
+            inner[i] = self._inner(d, static, x_new[new], self._seg_h[:, cols[new]] * wf[new])
+            end = new.stop
         return self._gap_terms(delta) + inner + delta * (self.prob_zero_gain - 1.0)
 
 
@@ -655,6 +694,14 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """The optional JSON-object entry ``cfg[key]``, ``{}`` when it is absent."""
+    entry = cfg.get(key, {})
+    if not isinstance(entry, dict):
+        raise ConfigError(f"config field {key!r} must be a JSON object, got {type(entry).__name__}")
+    return entry
+
+
 def lda_from_config(cfg: dict) -> LDAModel:
     """Build the loss law from ``{"frequency": {...}, "severity": {...}}``."""
     freq = _require(cfg, "frequency")
@@ -727,7 +774,7 @@ def gain_model_from_config(cfg: dict):
     policy = policy_from_config(cfg)
     if policy.kind != "ILP":
         return _LDA_MODELS[(policy.kind, policy.objective)](lda_from_config(cfg), policy.param)
-    mc = cfg.get("mc", {})
+    mc = _section(cfg, "mc")
     sample = ilp_global_sample(
         lda_from_config(cfg),
         policy.param,

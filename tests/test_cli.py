@@ -380,16 +380,6 @@ def test_bad_json_config_is_a_config_error(tmp_path, capsys):
     assert json.loads(err.strip())["error"]["code"] == 2
 
 
-@pytest.mark.parametrize("command", ["value-table", "approx"])
-def test_non_object_json_config_is_a_config_error(tmp_path, capsys, command):
-    cfg = tmp_path / "list.json"
-    cfg.write_text("[1, 2]")
-    code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
-    _, err = capsys.readouterr()
-    assert code == 2
-    assert json.loads(err.strip())["error"]["type"] == "config"
-
-
 _MODEL_BASE = {
     "frequency": {"rate": 3.0},
     "severity": {"mu": 1.0, "lambda": 1.0},
@@ -397,6 +387,35 @@ _MODEL_BASE = {
     "objective": "local",
     "horizon": {"T": 3, "k": 2},
 }
+_ILP_GLOBAL = {**_MODEL_BASE, "policy": {"kind": "ILP", "param": 5.0}, "objective": "global"}
+
+
+@pytest.mark.parametrize(
+    "command, text, flags",
+    [
+        ("value-table", "[1, 2]", []),
+        ("approx", "[1, 2]", []),
+        ("value-table", json.dumps({**_ILP_GLOBAL, "mc": 3}), []),
+        ("value-table", json.dumps({**_ILP_GLOBAL, "mc": 3}), ["--seed", "1"]),
+        ("value-table", json.dumps({**_MODEL_BASE, "horizon": 3}), ["--horizon-T", "4"]),
+        ("value-table", json.dumps({**_MODEL_BASE, "horizon": 3}), ["--horizon-k", "2"]),
+        (
+            "value-table",
+            json.dumps({k: v for k, v in _MODEL_BASE.items() if k != "objective"} | {"objectives": 3}),
+            [],
+        ),
+    ],
+    ids=["value-table", "approx", "mc", "mc-seed", "horizon-T", "horizon-k", "objectives"],
+)
+def test_non_object_json_config_is_a_config_error(tmp_path, capsys, command, text, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path), *flags])
+    _, err = capsys.readouterr()
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "config"
 
 
 @pytest.mark.parametrize(

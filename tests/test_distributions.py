@@ -32,6 +32,7 @@ from multistop.distributions import (
     poisson_sf,
     sample_ig,
 )
+from multistop.policies import _PAP_BAND
 from quad_oracle import upper_tail_quadrature
 
 
@@ -278,6 +279,33 @@ def test_ig_tails_match_quadrature_in_the_body(mu):
             assert cdf == pytest.approx(direct, abs=1e-9)
             assert gig == pytest.approx(gig_cdf(x, gig_params), abs=1e-9)
             assert ig_partial_expectation(x, 1, IGParams(mu=mu, lam=lam)) == pytest.approx(mu * gig, rel=1e-15)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@given(
+    mu=_log_uniform(0.01, 100.0),
+    lam=_log_uniform(1e-3, 1e4),
+    r=st.integers(1, 200),
+    scale=_log_uniform(1e-9, 1.0),
+)
+def test_ig_sum_tails_are_exactly_one_in_the_band(mu, lam, r, scale):
+    # PAP-global's inner integral skips the tails of S_r, IG(r mu, r^2 lam), at
+    # y where a = sqrt(lam / y) (y / mu - r) <= -_PAP_BAND = -9: there Phi(a)
+    # and e are at most 1.1e-19, far below 2^-54, so 1 - F and 1 - G round to
+    # 1.0.  y9 solves a = -9 for this r, and y = scale y9 lies at or beyond it
+    c = _PAP_BAND / math.sqrt(lam)
+    root = 0.5 * mu * (math.sqrt(c * c + 4.0 * r / mu) - c)
+    y = scale * root * root
+    _, sf, _, gig_sf = _ig_tails(y, r * mu, r * r * lam)
+    assert sf == 1.0 and gig_sf == 1.0
+    # every count the skip treats as in the band at this y, by its own test
+    rr = np.arange(1, 201)
+    band = rr[rr >= y / mu + _PAP_BAND * math.sqrt(y / lam)]
+    _, sf, _, gig_sf = _ig_tails(y, band * mu, band * band * lam)
+    assert np.all(sf == 1.0) and np.all(gig_sf == 1.0)
 
 
 def test_gig_cdf_past_the_half_order_normalizer_underflow():

@@ -59,6 +59,7 @@ from multistop.stopping import (
     thresholds,
 )
 from pap_global_reference import ReferencePapGlobal
+from pap_inner_reference import ReferencePapInner as FrozenPapInner
 from pap_law_reference import ReferencePapGlobal as FrozenPapGlobal
 from pap_law_reference import ReferencePapLocal as FrozenPapLocal
 from quad_oracle import crossing_pmf_quadrature
@@ -276,26 +277,33 @@ PAP_GLOBAL_REFERENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PAP_GLOBAL_REFERENCE_CASES))
-def test_pap_global_composite_grid_matches_nested_kernel(name):
-    (rate, mu, lam, attachment), n_inner, tol = PAP_GLOBAL_REFERENCE_CASES[name]
-    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
-    model = pap_global_model(lda, attachment)
+def _pap_global_edge_deltas(model):
+    """Arguments of a PAP-global ``stop_loss`` at the edges of its inner grid."""
+    attachment = model.attachment
     gap = np.sort(model._gaps[:-1])[60]
     tail = model._cuts[model._cuts > attachment]
-    delta = np.array([
+    # on a tail breakpoint and inside a tail segment, where the tail has them
+    on_tail = [tail[3], 0.5 * (tail[3] + tail[4])] if tail.size > 4 else []
+    return np.array([
         -1.0,
         0.0,
         gap * (1.0 - 1e-9),  # either side of an outer gap
         gap * (1.0 + 1e-9),
         attachment - 1e-3,
         attachment + 1e-3,
-        tail[3],  # on a tail breakpoint
-        0.5 * (tail[3] + tail[4]),  # inside a tail segment
+        *on_tail,
         4.0 * attachment,  # deep in the tail
         model._s_cap + 1.0,  # delta - s_cap > 0
         1.5 * model._x_hi,  # beyond the crossing loss's support bound
     ])
+
+
+@pytest.mark.parametrize("name", sorted(PAP_GLOBAL_REFERENCE_CASES))
+def test_pap_global_composite_grid_matches_nested_kernel(name):
+    (rate, mu, lam, attachment), n_inner, tol = PAP_GLOBAL_REFERENCE_CASES[name]
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    model = pap_global_model(lda, attachment)
+    delta = _pap_global_edge_deltas(model)
     ref = ReferencePapGlobal(lda, attachment, n_inner=n_inner).stop_loss(delta)
     scale = np.maximum(1.0, np.abs(ref))
     finer = ReferencePapGlobal(lda, attachment, n_inner=2 * n_inner).stop_loss(delta)
@@ -746,12 +754,23 @@ def test_pap_sweep_mean_gains_sum_to_mean_loss(rate, mu, lam, scale):
 
 def _assert_pap_models_equal_frozen(lda, attachment, local_horizon, global_horizon):
     """Both PAP models, built on one CrossingLaw, against the frozen
-    construction of each, bit for bit."""
+    construction of each, and PAP-global against the frozen per-delta inner
+    integral, bit for bit."""
     local, frozen_local = pap_local_model(lda, attachment), FrozenPapLocal(lda, attachment)
     glob, frozen_glob = pap_global_model(lda, attachment), FrozenPapGlobal(lda, attachment)
+    frozen_inner = FrozenPapInner(lda, attachment)
+    smallest = float(np.min(glob._gaps))
+    delta = np.concatenate((
+        _pap_global_edge_deltas(glob),
+        [smallest, smallest * (1.0 - 1e-9), 0.5 * smallest],  # at and below the smallest gap
+        [1.001 * glob._s_cap, 1.001 * glob._x_hi],  # past s_cap and past x_hi
+        np.linspace(-1.0, glob._s_cap + glob._x_hi, 64),
+    ))
+    assert np.array_equal(glob.stop_loss(delta), frozen_inner.stop_loss(delta))
     for live, frozen, horizon in (
         (local, frozen_local, local_horizon),
         (glob, frozen_glob, global_horizon),
+        (glob, frozen_inner, global_horizon),
     ):
         assert live.mean_gain == frozen.mean_gain
         assert np.array_equal(
