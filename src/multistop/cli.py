@@ -4,7 +4,7 @@ Subcommands, each taking only the flags it reads::
 
     value-table   write the value recursion and claim thresholds as CSV
     advise        interactive year-by-year claim/wait advisor
-    experiment    run a named rule-comparison study, write report + CSVs
+    experiment    run a rule-comparison study (preset or config), write report + CSVs
     approx        fit the Gamma-Laguerre expansion, write fit.json + boundary.csv
     validate      run the quick internal consistency suite
 
@@ -40,6 +40,7 @@ from .policies import (
     horizon_from_config,
     lda_from_config,
     load_config,
+    objectives_from_config,
     policy_from_config,
 )
 from .simulation import simulate_batch
@@ -90,10 +91,7 @@ def _model_and_table(args):
     if args.objective:
         cfg["objective"] = args.objective
     elif "objective" not in cfg and cfg.get("objectives"):
-        objectives = cfg["objectives"]
-        if not isinstance(objectives, list):
-            raise ConfigError(f"config field 'objectives' must be a JSON list, got {objectives!r}")
-        cfg["objective"] = objectives[0]
+        cfg["objective"] = objectives_from_config(cfg)[0]
     horizon = horizon_from_config(cfg)
     model = gain_model_from_config(cfg)
     return model, horizon, compute_value_table(model, horizon)
@@ -168,14 +166,14 @@ def _read_line(prompt: str) -> str | None:
 
 
 def cmd_experiment(args) -> int:
-    out = args.out or f"./{args.preset}-out"
-    report = run_experiment(
-        args.preset, out_dir=out, seed=args.seed, n_scenarios=args.samples
-    )
+    study = load_config(args.config) if args.config else args.preset
+    name = args.preset or study.get("name", "custom")
+    out = args.out or f"./{name}-out"
+    report = run_experiment(study, out_dir=out, seed=args.seed, n_scenarios=args.samples)
     for objective, entry in report["objectives"].items():
         beats = all(v["significant_1pct"] for v in entry["optimal_beats"].values())
         print(
-            f"{args.preset} [{objective}]: optimal mean {entry['rules']['optimal']['mean']:.4f} "
+            f"{name} [{objective}]: optimal mean {entry['rules']['optimal']['mean']:.4f} "
             f"vs reference {entry['reference_solid']:.4f}; beats others at 1%: {beats}"
         )
     print(f"wrote report.json, hist.csv, triples.csv under {out}")
@@ -322,10 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_advise.set_defaults(func=cmd_advise)
 
     p_exp = sub.add_parser("experiment", help="run a rule-comparison study")
-    p_exp.add_argument("--preset", required=True, help="study preset")
-    p_exp.add_argument("--seed", type=int, help="override the preset's seed")
+    study = p_exp.add_mutually_exclusive_group(required=True)
+    study.add_argument("--config", help="path to a JSON study config, laid out as a preset")
+    study.add_argument("--preset", help="study preset")
+    p_exp.add_argument("--seed", type=int, help="override the study's seed")
     p_exp.add_argument("--samples", type=int, help="override scenario count (at least 2)")
-    p_exp.add_argument("--out", help="output directory (default ./PRESET-out)")
+    p_exp.add_argument(
+        "--out", help="output directory (default ./NAME-out: the preset, or the config's name)"
+    )
     p_exp.set_defaults(func=cmd_experiment)
 
     p_approx = sub.add_parser("approx", help="Gamma-Laguerre density fit utilities")

@@ -436,14 +436,27 @@ def sample_ig(params: IGParams, rng: np.random.Generator, size=None):
 def _ig_transform(params: IGParams, normal: np.ndarray, uniform):
     """Michael-Schucany-Haas: IG(mu, lam) draws from standard normals and uniforms.
 
-    ``normal`` is squared in place, so the transform holds no more arrays
-    alive than a fresh draw squared on the spot would.
+    With ``y = normal**2`` the draw is the smaller root
+    ``x = mu + mu**2 y / (2 lam) - (mu / (2 lam)) sqrt(4 mu lam y + mu**2 y**2)``,
+    kept where ``uniform <= mu / (mu + x)`` and replaced by ``mu**2 / x``
+    elsewhere.  The steps below are those operations in that order, done in
+    place: ``normal`` is overwritten, and two arrays and a mask besides the
+    result are formed.
     """
-    y = np.square(normal, out=normal)
     mu, lam = params.mu, params.lam
-    x = mu + mu**2 * y / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
-        4.0 * mu * lam * y + mu**2 * y**2
-    )
+    y = np.square(normal, out=normal)
+    x = np.multiply(y, mu**2, out=np.empty_like(y))
+    x /= 2.0 * lam
+    x += mu
+    root = np.square(y, out=np.empty_like(y))
+    root *= mu**2
+    y *= 4.0 * mu * lam
+    root += y
+    np.sqrt(root, out=root)
+    root *= mu / (2.0 * lam)
+    x -= root
     # numerical guard: the smaller root can round to 0 for extreme normals
-    x = np.maximum(x, np.finfo(float).tiny)
-    return np.where(uniform <= mu / (mu + x), x, mu**2 / x)
+    np.maximum(x, np.finfo(float).tiny, out=x)
+    np.add(x, mu, out=root)
+    keep = np.less_equal(uniform, np.divide(mu, root, out=root))
+    return np.where(keep, x, np.divide(mu**2, x, out=root))

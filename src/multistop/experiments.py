@@ -25,6 +25,7 @@ from .policies import (
     _require,
     gain_model_from_config,
     horizon_from_config,
+    objectives_from_config,
     policy_choice,
     policy_from_config,
 )
@@ -81,6 +82,16 @@ def preset_config(name: str) -> dict:
     return deepcopy(EXPERIMENT_PRESETS[name])
 
 
+def _default_deterministic_years(T: int, k: int) -> list[int]:
+    """``k`` years spread evenly from year 1 to year ``T``: ``1 + ceil(i (T-1) / (k-1))``.
+
+    Strictly increasing for ``k <= T``; year 1 alone when ``k = 1``.
+    """
+    if k == 1:
+        return [1]
+    return [1 + -(-i * (T - 1) // (k - 1)) for i in range(k)]
+
+
 def run_experiment(
     preset: str | dict,
     out_dir: str | os.PathLike | None = None,
@@ -95,7 +106,7 @@ def run_experiment(
     if n_sim < 2:
         raise ConfigError(f"a study needs at least 2 scenarios for its standard errors, got {n_sim}")
     run_seed = int(_require(_require(cfg, "mc"), "seed") if seed is None else seed)
-    det_years = cfg.get("deterministic_years", [1, horizon.T // 2 + 1, horizon.T])
+    det_years = cfg.get("deterministic_years", _default_deterministic_years(horizon.T, horizon.k))
 
     report: dict = {
         "preset": name,
@@ -107,8 +118,8 @@ def run_experiment(
         "objectives": {},
     }
     reports = {}
-    lda = batch = None
-    for given in cfg["objectives"]:
+    lda = batch = random_taus = None
+    for given in objectives_from_config(cfg):
         run_cfg = {**cfg, "objective": given}
         kind, objective = policy_choice(run_cfg)
         if kind == "ILP" and objective != LOCAL:
@@ -124,7 +135,8 @@ def run_experiment(
             lda = model.lda
             batch = simulate_batch(lda, policy_from_config(run_cfg), horizon.T, n_sim, run_seed)
         rules = default_rules(det_years)
-        rr = compare_rules(batch, table, rules, horizon.k, lda=lda)
+        rr = compare_rules(batch, table, rules, horizon.k, lda=lda, random_taus=random_taus)
+        random_taus = rr.outcome("random").taus
         # the threshold rule's claim years, walked once for the tally and the proxy
         taus = rr.outcome("optimal").taus
         triples = _claim_year_tally(taus)

@@ -738,6 +738,14 @@ def horizon_from_config(cfg: dict) -> Horizon:
     return Horizon(T=int(_require(hz, "T")), k=int(_require(hz, "k")))
 
 
+def objectives_from_config(cfg: dict) -> list:
+    """The ``{"objectives": [...]}`` list of a study config."""
+    objectives = _require(cfg, "objectives")
+    if not isinstance(objectives, list):
+        raise ConfigError(f"config field 'objectives' must be a JSON list, got {objectives!r}")
+    return objectives
+
+
 def aux_from_config(cfg: dict) -> ILPAuxModel:
     aux = _require(cfg, "aux")
     try:

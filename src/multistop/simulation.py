@@ -105,28 +105,47 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1)
 
 
-def _segment_reduce(values, starts, lengths, reduce_rows) -> np.ndarray:
-    """``reduce_rows`` applied to every segment ``values[s : s + n]``; 0 when empty.
+class _Segments:
+    """A block's scenario-year segments ``values[s : s + n]``, grouped by length.
 
-    Segments of equal length are reduced together as the rows of one dense
-    matrix.  A row-wise ``sum`` then takes the same pairwise path as the 1-D
-    ``values[s : s + n].sum()``, bit for bit; ``np.add.reduceat`` does not.
+    A stable radix sort of the lengths, in their narrowest unsigned type,
+    orders the segments, and ``bincount`` gives each length's run in that
+    order.  Each group keeps the positions of its segments and the
+    ``(segments, n)`` gather index of their values, so every reduction over
+    the same segments reuses one grouping.
     """
-    out = np.zeros(lengths.size)
-    order = np.argsort(lengths, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        n = lengths[group[0]]
-        if n:
-            out[group] = reduce_rows(values[starts[group, None] + np.arange(n)])
-    return out
+
+    def __init__(self, starts: np.ndarray, lengths: np.ndarray) -> None:
+        self.starts = starts
+        self.size = lengths.size
+        sizes = np.bincount(lengths)
+        order = np.argsort(lengths.astype(np.min_scalar_type(sizes.size - 1)), kind="stable")
+        ends = np.cumsum(sizes)
+        self.groups = []
+        for n in np.flatnonzero(sizes[1:]) + 1:
+            rows = order[ends[n - 1] : ends[n]]
+            self.groups.append((rows, starts[rows, None] + np.arange(n)))
+
+    def reduce(self, values: np.ndarray, reduce_rows) -> np.ndarray:
+        """``reduce_rows`` applied to every segment of ``values``; 0 when empty.
+
+        Segments of equal length are reduced together as the rows of one
+        dense matrix.  A row-wise ``sum`` then takes the same pairwise path
+        as the 1-D ``values[s : s + n].sum()``, bit for bit;
+        ``np.add.reduceat`` does not.
+        """
+        out = np.zeros(self.size)
+        for rows, index in self.groups:
+            out[rows] = reduce_rows(values[index])
+        return out
 
 
 def _simulate(rate, severity, horizon_years, n_scenarios, seed, year_losses):
     """The simulation kernel: (Z, Zt) panels of compound-Poisson IG years.
 
     Scenarios are drawn in blocks of ``_BLOCK`` from the block streams of the
-    module docstring.  ``year_losses(xs, starts, lengths)`` maps the block's
-    flat severities and its scenario-year segments (scenario-major) to the
+    module docstring.  ``year_losses(xs, segments)`` maps the block's flat
+    severities and its scenario-year ``_Segments`` (scenario-major) to the
     flat ``(z, zt)`` of those years.
     """
     _check_sim_args(horizon_years, n_scenarios, seed)
@@ -142,7 +161,7 @@ def _simulate(rate, severity, horizon_years, n_scenarios, seed, year_losses):
         total = int(counts.sum())
         xs = _ig_transform(severity, normal_rng.standard_normal(total), uniform_rng.random(total))
         lengths = counts.ravel()
-        z_years, zt_years = year_losses(xs, np.cumsum(lengths) - lengths, lengths)
+        z_years, zt_years = year_losses(xs, _Segments(np.cumsum(lengths) - lengths, lengths))
         z[lo:hi] = z_years.reshape(counts.shape)
         zt[lo:hi] = zt_years.reshape(counts.shape)
     return z, zt
@@ -154,17 +173,15 @@ def simulate_batch(
     """Simulate straight from the policy definition on the block streams."""
     kind, param = policy.kind, policy.param
 
-    def year_losses(xs, starts, lengths):
-        z = _segment_reduce(xs, starts, lengths, _row_sums)
+    def year_losses(xs, segments):
+        z = segments.reduce(xs, _row_sums)
         if kind == "ALP":
             return z, np.maximum(z - param, 0.0)
         if kind == "ILP":
-            return z, _segment_reduce(np.maximum(xs - param, 0.0), starts, lengths, _row_sums)
+            return z, segments.reduce(np.maximum(xs - param, 0.0), _row_sums)
         # PAP: the leading losses whose running total stays within the attachment
-        within = _segment_reduce(
-            xs, starts, lengths, lambda m: (np.cumsum(m, axis=1) <= param).sum(axis=1)
-        )
-        return z, _segment_reduce(xs, starts, within.astype(lengths.dtype), _row_sums)
+        within = segments.reduce(xs, lambda m: (np.cumsum(m, axis=1) <= param).sum(axis=1))
+        return z, _Segments(segments.starts, within.astype(np.intp)).reduce(xs, _row_sums)
 
     z, zt = _simulate(
         lda.frequency.rate, lda.severity, horizon_years, n_scenarios, seed, year_losses
@@ -184,8 +201,8 @@ def simulate_aux_local_batch(
     ``Zt`` and the gain is ``-Zt``.
     """
 
-    def year_losses(xs, starts, lengths):
-        zt = _segment_reduce(xs, starts, lengths, _row_sums)
+    def year_losses(xs, segments):
+        zt = segments.reduce(xs, _row_sums)
         return zt, zt
 
     z, zt = _simulate(
@@ -235,21 +252,35 @@ def rule_claim_years(
             raise ConfigError(f"deterministic years {rule.years} incompatible with T={T}, k={k}")
         return np.tile(years, (m, 1))
     if rule.kind == "random":
+        # the years of each path's k smallest uniforms; argpartition selects
+        # the positions a full argsort puts first
         rng = np.random.default_rng(np.random.SeedSequence([batch.seed, _RULE_STREAM_TAG]))
-        order = np.argsort(rng.random((m, T)), axis=1)[:, :k]
-        return np.sort(order + 1, axis=1)
+        picked = np.argpartition(rng.random((m, T)), k - 1, axis=1)[:, :k]
+        return np.sort(picked + 1, axis=1)
     # average: claim once the gain reaches E[W], and wherever a claim is forced
     b = thresholds(table)
     return claim_years(batch.w, np.where(np.isneginf(b), -np.inf, table.value(1, 1)))
 
 
-def objective_values(batch: ScenarioBatch, taus: np.ndarray) -> np.ndarray:
-    """Per-path realized objective (a loss; smaller is better)."""
-    rows = np.arange(batch.n_scenarios)[:, None]
-    cols = taus - 1
+def _claimed(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``panel[i, taus[i] - 1]`` for every path ``i``: its (M, k) claim-year entries."""
+    m, T = panel.shape
+    return panel.ravel().take(taus + (np.arange(0, m * T, T) - 1)[:, None])
+
+
+def objective_values(
+    batch: ScenarioBatch, taus: np.ndarray, z_totals: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-path realized objective (a loss; smaller is better).
+
+    ``z_totals`` is ``batch.z.sum(axis=1)`` when already formed; the global
+    objective reads it.
+    """
     if batch.objective == GLOBAL:
-        return batch.z.sum(axis=1) - batch.w[rows, cols].sum(axis=1)
-    return batch.z_tilde[rows, cols].sum(axis=1)
+        if z_totals is None:
+            z_totals = batch.z.sum(axis=1)
+        return z_totals - _claimed(batch.w, taus).sum(axis=1)
+    return _claimed(batch.z_tilde, taus).sum(axis=1)
 
 
 def reference_lines(
@@ -307,16 +338,26 @@ def compare_rules(
     rules: Iterable[ComparisonRule],
     k: int,
     lda: LDAModel | None = None,
+    random_taus: np.ndarray | None = None,
 ) -> RuleReport:
-    """Replay each rule on the batch and histogram the realized objectives."""
+    """Replay each rule on the batch and histogram the realized objectives.
+
+    ``random_taus`` are the random rule's claim years when already drawn.
+    They depend only on the batch's seed, its shape and ``k``, so the
+    objectives of one study share them.
+    """
     if k != table.k:
         raise ConfigError(f"rule comparison k={k} does not match table k={table.k}")
     if batch.horizon_years != table.T:
         raise ConfigError("batch and value table horizon mismatch")
+    z_totals = batch.z.sum(axis=1) if batch.objective == GLOBAL else None
     per_rule = []
     for rule in rules:
-        taus = rule_claim_years(batch, table, rule)
-        per_rule.append((rule.kind, taus, objective_values(batch, taus)))
+        if rule.kind == "random" and random_taus is not None:
+            taus = random_taus
+        else:
+            taus = rule_claim_years(batch, table, rule)
+        per_rule.append((rule.kind, taus, objective_values(batch, taus, z_totals)))
     all_vals = np.concatenate([v for _, _, v in per_rule])
     edges = np.histogram_bin_edges(all_vals, bins=_HIST_BINS)
     outcomes = tuple(
@@ -368,8 +409,7 @@ def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:
 
 
 def _mean_claimed_gain(batch: ScenarioBatch, taus: np.ndarray) -> float:
-    rows = np.arange(batch.n_scenarios)[:, None]
-    return float(batch.w[rows, taus - 1].sum(axis=1).mean())
+    return float(_claimed(batch.w, taus).sum(axis=1).mean())
 
 
 def exceedance_probability(lda: LDAModel, cap: float) -> float:

@@ -227,11 +227,13 @@ def claim_years(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     n, T = w.shape
     k = b.shape[1]
-    used = np.zeros(n, dtype=int)
+    # a path with no rights left meets a NaN trigger, which no gain reaches
+    triggers = np.concatenate([b, np.full((T, 1), np.nan)], axis=1)
+    gains = np.ascontiguousarray(w.T)  # year-major: one contiguous row per year
+    used = np.zeros(n, dtype=np.intp)
     taus = np.zeros((n, k), dtype=int)
     for year in range(1, T + 1):
-        claim = (used < k) & (w[:, year - 1] >= b[T - year, np.minimum(used, k - 1)])
-        rows = np.nonzero(claim)[0]
+        rows = np.flatnonzero(gains[year - 1] >= triggers[T - year].take(used))
         taus[rows, used[rows]] = year
         used[rows] += 1
     return taus

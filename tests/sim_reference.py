@@ -1,9 +1,11 @@
-"""Frozen block-by-block, scenario-by-scenario loop versions of the two simulators.
+"""Frozen loop versions of the two simulators and of the rule replay's claim years.
 
-They spell out the stream contract of ``multistop.simulation`` one scenario
-and one year at a time, with their own copy of the IG transform, as the
-bit-identity reference for ``simulate_batch`` and ``simulate_aux_local_batch``.
-Do not optimise them.
+The simulators spell out the stream contract of ``multistop.simulation`` one
+scenario and one year at a time, with their own copy of the IG transform, as
+the bit-identity reference for ``simulate_batch`` and
+``simulate_aux_local_batch``.  ``reference_claim_years`` is the path-major
+walk of ``multistop.stopping.claim_years`` and ``reference_random_claim_years``
+the full-``argsort`` draw of the random comparison rule.  Do not optimise them.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from multistop.policies import GLOBAL, LOCAL, ConfigError
 from multistop.simulation import ScenarioBatch
 
 BLOCK = 1024
+RULE_STREAM_TAG = 0x52554C45
 
 
 def _ig_from(params, normal, u):
@@ -73,3 +76,22 @@ def reference_simulate_aux_local_batch(aux, horizon_years, n_scenarios, seed):
         kind="ILP-aux", param=aux.aux_rate, objective=LOCAL, seed=seed,
         z=zt.copy(), z_tilde=zt, w=-zt,
     )
+
+
+def reference_claim_years(w, b):
+    n, T = w.shape
+    k = b.shape[1]
+    used = np.zeros(n, dtype=int)
+    taus = np.zeros((n, k), dtype=int)
+    for year in range(1, T + 1):
+        claim = (used < k) & (w[:, year - 1] >= b[T - year, np.minimum(used, k - 1)])
+        rows = np.nonzero(claim)[0]
+        taus[rows, used[rows]] = year
+        used[rows] += 1
+    return taus
+
+
+def reference_random_claim_years(seed, n_scenarios, horizon_years, k):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, RULE_STREAM_TAG]))
+    order = np.argsort(rng.random((n_scenarios, horizon_years)), axis=1)[:, :k]
+    return np.sort(order + 1, axis=1)

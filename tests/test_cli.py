@@ -239,6 +239,53 @@ def test_experiment_rejects_too_few_samples(tmp_path, capsys, samples):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_experiment_runs_a_config_study(tmp_path, capsys):
+    # two claim rights and no deterministic years: the default spreads them
+    study = {
+        "name": "two-rights",
+        "frequency": {"rate": 3.0},
+        "severity": {"mu": 2.0, "lambda": 3.0},
+        "policy": {"kind": "ALP", "param": 10.0},
+        "objectives": ["global", "local"],
+        "horizon": {"T": 8, "k": 2},
+        "mc": {"samples": 400, "seed": 7},
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(study))
+    code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.startswith("two-rights [global]")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["preset"] == "two-rights"
+    assert report["horizon"] == {"T": 8, "k": 2}
+    assert [e["deterministic_years"] for e in report["objectives"].values()] == [[1, 8], [1, 8]]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [{"objectives": "global"}, {"objectives": None}, {}],
+    ids=["string", "null", "missing"],
+)
+def test_experiment_config_needs_an_objectives_list(tmp_path, capsys, cfg):
+    study = {
+        "frequency": {"rate": 3.0},
+        "severity": {"mu": 2.0, "lambda": 3.0},
+        "policy": {"kind": "ALP", "param": 10.0},
+        "horizon": {"T": 8, "k": 3},
+        "mc": {"samples": 100, "seed": 7},
+        **cfg,
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(study))
+    code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    _, err = capsys.readouterr()
+    assert code == 2
+    error = json.loads(err.strip())["error"]
+    assert error["type"] == "config" and "objectives" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_unknown_preset_errors(capsys):
     code = main(["experiment", "--preset", "nope"])
     out, err = capsys.readouterr()
@@ -347,6 +394,8 @@ def test_validate_failure_maps_to_numerical_exit(monkeypatch, capsys):
         ["value-table"],
         ["approx", "--config", "approx.json", "--seed", "1"],
         ["validate", "--seed", "1"],
+        ["experiment", "--preset", "ilp-study", "--config", "model.json"],
+        ["experiment", "--samples", "100"],
     ],
 )
 def test_usage_errors_are_json_config_errors(tmp_path, monkeypatch, capsys, argv):

@@ -8,6 +8,7 @@ from scipy.stats import chisquare
 
 import multistop
 from multistop.distributions import FrequencyModel, IGParams, _ig_transform
+import multistop.experiments
 from multistop.experiments import preset_config, run_experiment
 from multistop.policies import GLOBAL, LOCAL, ConfigError, ILPAuxModel, LDAModel, PolicySpec
 from multistop.policies import alp_global_model, alp_local_model, lda_from_config
@@ -28,7 +29,11 @@ from multistop.simulation import (
 )
 from multistop.stopping import Decision, Horizon, StoppingState, compute_value_table, decide
 from quad_oracle import upper_tail_quadrature
-from sim_reference import reference_simulate_aux_local_batch, reference_simulate_batch
+from sim_reference import (
+    reference_random_claim_years,
+    reference_simulate_aux_local_batch,
+    reference_simulate_batch,
+)
 
 LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
 ALP_GLOBAL = PolicySpec(kind="ALP", param=10.0, objective=GLOBAL)
@@ -96,10 +101,11 @@ def test_simulators_reject_bad_sizes_and_seeds(horizon_years, n_scenarios, seed)
 # ---------------------------------------------------------------- bit identity
 
 # Rate 0.05 leaves most years empty, 40 gives years of 9+ losses (numpy's
-# unrolled pairwise sum) and 150 years of 128+ (its recursive split).
+# unrolled pairwise sum), 150 years of 128+ (its recursive split) and 256
+# years on both sides of 255 losses, so the counts no longer fit one byte.
 REFERENCE_CASES = [
     (rate, n) for rate in (0.05, 40.0) for n in (1, _BLOCK, _BLOCK + 1)
-] + [(150.0, 40)]
+] + [(150.0, 40), (256.0, 2)]
 
 
 def _assert_same_panels(got, want):
@@ -192,6 +198,42 @@ def test_run_experiment_second_objective_matches_its_own_simulation():
     assert {out.name: out.mean for out in rr.outcomes} == {name: v["mean"] for name, v in got.items()}
 
 
+@pytest.mark.parametrize("T, k, years", [
+    (8, 1, [1]), (8, 2, [1, 8]), (8, 3, [1, 5, 8]), (8, 4, [1, 4, 6, 8]), (2, 1, [1]),
+])
+def test_run_experiment_spreads_default_deterministic_years(T, k, years):
+    cfg = preset_config("alp-study")
+    del cfg["deterministic_years"]
+    cfg["horizon"] = {"T": T, "k": k}
+    report = run_experiment(cfg, seed=3, n_scenarios=200)
+    for entry in report["objectives"].values():
+        assert entry["deterministic_years"] == years
+    # the default at k = 3 is the presets' own choice at T = 8
+    if k == 3:
+        assert years == [1, T // 2 + 1, T] == preset_config("alp-study")["deterministic_years"]
+
+
+def test_run_experiment_draws_the_random_rule_once_per_study(monkeypatch):
+    draws, reports = [], []
+    real_rule, real_compare = multistop.simulation.rule_claim_years, multistop.experiments.compare_rules
+
+    def counting(batch, table, rule):
+        draws.append(rule.kind)
+        return real_rule(batch, table, rule)
+
+    def keeping(*args, **kwargs):
+        reports.append(real_compare(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(multistop.simulation, "rule_claim_years", counting)
+    monkeypatch.setattr(multistop.experiments, "compare_rules", keeping)
+    run_experiment("alp-study", seed=3, n_scenarios=300)
+    assert draws.count("random") == 1
+    first, second = (rr.outcome("random").taus for rr in reports)
+    assert np.array_equal(first, second)
+    assert np.array_equal(second, reference_random_claim_years(3, 300, 8, 3))
+
+
 def test_run_experiment_walks_the_threshold_rule_once_per_objective(monkeypatch):
     walks = []
     real = multistop.simulation.rule_claim_years
@@ -272,6 +314,15 @@ def test_random_rule_is_uniform_over_triples(global_table):
     assert counts.sum() == len(keys)
     stat = chisquare(counts)
     assert stat.pvalue > 0.01
+
+
+@pytest.mark.parametrize("T, k", [(8, 1), (8, 3), (8, 7), (40, 12)])
+def test_random_rule_keeps_its_years(T, k):
+    table = compute_value_table(alp_global_model(LDA, 10.0), Horizon(T=T, k=k))
+    for seed in (0, 1, 5, 77, 2**40 + 3):
+        batch = simulate_batch(LDA, ALP_GLOBAL, T, 300, seed=seed)
+        taus = rule_claim_years(batch, table, ComparisonRule("random"))
+        assert np.array_equal(taus, reference_random_claim_years(seed, 300, T, k))
 
 
 def test_average_rule_matches_manual_walk(small_batch, global_table):

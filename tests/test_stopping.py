@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sim_reference import reference_claim_years
 from tree_oracle import enumerate_expected_realized_gain, tree_game_value
 from multistop.distributions import NumericalError
 from multistop.stopping import (
@@ -14,6 +15,7 @@ from multistop.stopping import (
     StoppingState,
     StopLossGain,
     ValueTable,
+    claim_years,
     compute_value_table,
     decide,
     lognormal_local_model,
@@ -272,6 +274,21 @@ def test_single_stop_takes_early_maximum():
     assert run_rule(gains, table).taus == (1,)
     # brute force over all single years with these observed gains
     assert max(gains) == gains[0]
+
+
+@pytest.mark.parametrize("T, k", [(8, 1), (8, 3), (8, 7), (40, 12), (40, 39)])
+def test_claim_years_matches_frozen_loop(T, k):
+    b = thresholds(compute_value_table(lognormal_local_model(0.0, 1.0), Horizon(T=T, k=k)))
+    rng = np.random.default_rng(T * 100 + k)
+    wide = -rng.lognormal(0.0, 1.0, (900, 3 * T))
+    # ties with the triggers, and gains no trigger orders: +inf claims only
+    # while rights remain, NaN never claims, not even when forced
+    wide[:20, :T] = b[::-1, :1].T
+    wide[20:30, 1] = np.inf
+    wide[30:35, T - 1] = np.nan
+    gains = wide[:, :T]
+    for w in (np.ascontiguousarray(gains), np.asfortranarray(gains), wide[:, ::3], wide[::2, T:2 * T]):
+        assert np.array_equal(claim_years(w, b), reference_claim_years(w, b))
 
 
 def test_run_rule_length_validation(ln_table_t7):
