@@ -11,12 +11,8 @@ __version__ = "0.1.0"
 
 from .distributions import (
     FrequencyModel,
-    GIGParams,
     IGParams,
     NumericalError,
-    bessel_k,
-    gig_cdf,
-    gig_pdf,
     ig_cdf,
     ig_partial_expectation,
     ig_pdf,
@@ -49,7 +45,6 @@ from .policies import (
     EmpiricalGainSample,
     ILPAuxModel,
     LDAModel,
-    PAPWeights,
     PolicySpec,
     alp_global_model,
     alp_local_model,
@@ -61,7 +56,6 @@ from .policies import (
     mstar_pmf,
     pap_global_model,
     pap_local_model,
-    pap_weights,
     policy_from_config,
 )
 from .simulation import (

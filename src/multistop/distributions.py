@@ -1,4 +1,4 @@
-"""Inverse-Gaussian / GIG distribution kernels and special functions.
+"""Inverse-Gaussian, Poisson and compound-Poisson kernels.
 
 Everything downstream (policy gain models, value recursions, simulators)
 is built on the primitives here:
@@ -7,11 +7,10 @@ is built on the primitives here:
   ``sqrt(lam / (2 pi x^3)) exp(-lam (x - mu)^2 / (2 mu^2 x))``,
   closed under convolution: a sum of ``n`` i.i.d. draws is
   ``IG(n mu, n^2 lam)``;
-* the Generalized Inverse Gaussian family ``GIG(alpha, beta, p)`` with
-  density proportional to ``x^(p-1) exp(-(alpha x + beta / x) / 2)``,
-  normalized by the modified Bessel function of the third kind ``K_p``;
-* partial (stop-loss style) expectations of IG sums, which reduce to GIG
-  CDFs of order +1/2.
+* partial (stop-loss style) expectations of IG sums, which reduce to CDFs
+  of the Generalized Inverse Gaussian law of order +1/2, where the Bessel
+  normalizer is elementary;
+* the Poisson loss count and the compound-Poisson IG aggregate.
 
 One kernel, ``_ig_tails``, evaluates every closed form.  For S ~ IG(M, lam)
 at ``y``, with ``a = sqrt(lam/y) (y/M - 1)`` and
@@ -23,9 +22,7 @@ GIG(+1/2) CDF ``G`` (the lower partial mean is ``E[S; S <= y] = M G``) are
 
 The kernel returns all four from one shared evaluation, each in the form
 that keeps a small value to full relative precision, so survival values and
-upper partial means are never taken as ``1 -`` a rounded CDF.  ``gig_cdf``
-integrates the density with an exponential substitution and serves as the
-independent quadrature route against which the closed forms are validated.
+upper partial means are never taken as ``1 -`` a rounded CDF.
 """
 
 from __future__ import annotations
@@ -39,7 +36,8 @@ from scipy.special import erfcx, gammaln
 
 
 class NumericalError(RuntimeError):
-    """Quadrature or special-function evaluation failed to converge."""
+    """A numerical evaluation failed: a gain model raised inside the value
+    recursion, or a consistency check did not hold."""
 
 
 @dataclass(frozen=True)
@@ -61,23 +59,6 @@ class IGParams:
 
 
 @dataclass(frozen=True)
-class GIGParams:
-    """Generalized Inverse Gaussian parameters ``(alpha, beta, p)``."""
-
-    alpha: float
-    beta: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"GIG alpha must be positive and finite, got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"GIG beta must be positive and finite, got {self.beta}")
-        if not math.isfinite(self.p):
-            raise ValueError(f"GIG order must be finite, got {self.p}")
-
-
-@dataclass(frozen=True)
 class FrequencyModel:
     """Annual loss-count model: Poisson with mean ``rate`` events/year."""
 
@@ -86,54 +67,6 @@ class FrequencyModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(f"Poisson rate must be positive and finite, got {self.rate}")
-
-
-# gig_cdf's quadrature: absolute and relative tolerance, subinterval limit
-_GIG_ABS_TOL = 1e-10
-_GIG_REL_TOL = 1e-10
-_GIG_LIMIT = 200
-
-_HALF_ORDER_TOL = 1e-12
-
-
-def bessel_k(p: float, z: float) -> float:
-    """Modified Bessel function of the third kind ``K_p(z)``.
-
-    ``K_p(z) = (1/2) int_0^inf u^(p-1) exp(-z (u + 1/u) / 2) du``, evaluated
-    through the equivalent ``int_0^inf exp(-z cosh t) cosh(p t) dt`` form,
-    which makes the symmetry ``K_p = K_{-p}`` manifest.  Orders ``p = +-1/2``
-    (the only ones the closed-form gain models need) use the elementary form
-    ``sqrt(pi / (2 z)) exp(-z)``.
-    """
-    if not (math.isfinite(p) and math.isfinite(z)):
-        raise ValueError(f"bessel_k requires finite arguments, got p={p}, z={z}")
-    if z <= 0:
-        raise ValueError(f"bessel_k requires z > 0, got z={z}")
-    if abs(abs(p) - 0.5) < _HALF_ORDER_TOL:
-        return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
-    # imported on use: scipy.integrate pulls in scipy.optimize and scipy.sparse
-    from scipy import integrate
-
-    ap = abs(p)
-
-    def integrand(t: float) -> float:
-        # cosh(pt) written as a sum of exponentials so huge t underflows to 0
-        # instead of overflowing.
-        ch = math.cosh(t)
-        e1 = ap * t - z * ch
-        e2 = -ap * t - z * ch
-        return 0.5 * (math.exp(e1) if e1 > -745 else 0.0) + 0.5 * (
-            math.exp(e2) if e2 > -745 else 0.0
-        )
-
-    # exp(-z cosh t) decays double-exponentially; find a safe upper cutoff.
-    t_max = 1.0
-    while z * math.cosh(t_max) - ap * t_max < 750.0 and t_max < 720.0:
-        t_max += 1.0
-    val, err = integrate.quad(integrand, 0.0, t_max, epsabs=1e-14, epsrel=1e-12, limit=300)
-    if not math.isfinite(val):
-        raise NumericalError(f"bessel_k({p}, {z}) quadrature returned {val}")
-    return val
 
 
 # -- raw vectorized kernels (validated params, array-friendly) ----------------
@@ -219,11 +152,6 @@ def _ig_cdf(x, mu, lam):
     return _ig_tails(x, mu, lam)[0]
 
 
-def _gig_half_cdf(x, alpha, beta):
-    """CDF of GIG(alpha, beta, +1/2): the ``G`` of IG(sqrt(beta / alpha), beta)."""
-    return _ig_tails(x, np.sqrt(np.asarray(beta) / np.asarray(alpha)), beta)[2]
-
-
 def _scalar_or_array(x, value):
     return value if np.ndim(x) else float(value)
 
@@ -236,6 +164,8 @@ def ig_pdf(x, params: IGParams):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError(f"ig_pdf requires x > 0, got {x}")
+    if np.any(np.isnan(arr)):
+        raise ValueError("ig_pdf requires non-NaN x")
     return _scalar_or_array(x, _ig_pdf(arr, params.mu, params.lam))
 
 
@@ -258,86 +188,6 @@ def ig_sf(x, params: IGParams):
     return _scalar_or_array(x, _checked_tails(x, params, "ig_sf")[1])
 
 
-def _gig_log_norm(params: GIGParams) -> float:
-    """Log of the GIG normalizer ``(alpha/beta)^(p/2) / (2 K_p(sqrt(alpha beta)))``.
-
-    Half orders take the log of the elementary form, since ``K_{1/2}(z)``
-    itself underflows to 0 past ``z ~ 745``.
-    """
-    z = math.sqrt(params.alpha * params.beta)
-    if abs(abs(params.p) - 0.5) < _HALF_ORDER_TOL:
-        log_2k = math.log(2.0) + 0.5 * math.log(math.pi / (2.0 * z)) - z
-    else:
-        log_2k = math.log(2.0 * bessel_k(params.p, z))
-    return 0.5 * params.p * math.log(params.alpha / params.beta) - log_2k
-
-
-def gig_pdf(x, params: GIGParams):
-    """GIG density, normalized by ``bessel_k(p, sqrt(alpha*beta))``."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("gig_pdf requires x > 0")
-    lognorm = _gig_log_norm(params)
-    out = np.exp(
-        lognorm + (params.p - 1.0) * np.log(arr) - 0.5 * (params.alpha * arr + params.beta / arr)
-    )
-    return _scalar_or_array(x, out)
-
-
-def gig_cdf(x: float, params: GIGParams) -> float:
-    """GIG distribution function by adaptive quadrature of the density.
-
-    The substitution ``u = exp(t)`` maps (0, x] to (-inf, log x] and removes
-    the essential singularity of the integrand at the origin.
-    """
-    if x < 0:
-        raise ValueError(f"gig_cdf requires x >= 0, got {x}")
-    if x == 0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    from scipy import integrate
-
-    lognorm = _gig_log_norm(params)
-
-    def integrand(t: float) -> float:
-        # for |t| past exp's overflow range the -(alpha e^t + beta e^-t)/2
-        # term dominates everything else and the integrand has underflowed
-        if abs(t) > 700.0:
-            return 0.0
-        e = lognorm + params.p * t - 0.5 * (params.alpha * math.exp(t) + params.beta * math.exp(-t))
-        return math.exp(e) if e > -745.0 else 0.0
-
-    # the density peaks at e^t = (p + sqrt(p^2 + alpha beta)) / alpha, the
-    # conjugate form avoiding cancellation for p < 0; a narrow peak is missed
-    # by one quad over the whole half-line, so split the range there
-    root = math.sqrt(params.p**2 + params.alpha * params.beta)
-    if params.p >= 0:
-        t_mode = math.log((params.p + root) / params.alpha)
-    else:
-        t_mode = math.log(params.beta / (root - params.p))
-    t_end = math.log(x)
-    val = err = 0.0
-    for lo, hi in ((-np.inf, min(t_mode, t_end)), (t_mode, t_end)):
-        if hi > lo:
-            piece, piece_err = integrate.quad(
-                integrand,
-                lo,
-                hi,
-                epsabs=_GIG_ABS_TOL,
-                epsrel=_GIG_REL_TOL,
-                limit=_GIG_LIMIT,
-                full_output=True,
-            )[:2]
-            val, err = val + piece, err + piece_err
-    if err > max(_GIG_ABS_TOL * 10.0, abs(val) * _GIG_REL_TOL * 10.0) and err > 1e-9:
-        raise NumericalError(
-            f"gig_cdf quadrature did not converge at x={x}, params={params}: "
-            f"value={val}, error estimate={err}"
-        )
-    return float(min(max(val, 0.0), 1.0))
-
-
 def ig_sum_params(n: int, params: IGParams) -> IGParams:
     """Distribution of a sum of ``n`` i.i.d. IG draws: ``IG(n mu, n^2 lam)``."""
     if n < 1:
@@ -352,12 +202,8 @@ def ig_partial_expectation(x, n: int, params: IGParams):
     density by ``u`` shifts the GIG order from -1/2 to +1/2 and contributes
     the factor ``n mu``.
     """
-    if n < 1:
-        raise ValueError(f"ig_partial_expectation requires n >= 1, got {n}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("ig_partial_expectation requires x >= 0")
-    return _scalar_or_array(x, n * params.mu * _ig_tails(arr, n * params.mu, n * n * params.lam)[2])
+    tails = _checked_tails(x, ig_sum_params(n, params), "ig_partial_expectation")
+    return _scalar_or_array(x, n * params.mu * tails[2])
 
 
 def poisson_pmf(m, freq: FrequencyModel):

@@ -128,17 +128,6 @@ class ALPWeights:
 
 
 @dataclass(frozen=True)
-class PAPWeights:
-    """PAP conditioning weights: ``dmm[m*-1, m-1] = P[M* = m*] p_m`` for the
-    crossing index, ``dm[m-1] = F_{S_m}(attachment) p_m`` for paths that never
-    cross, and the crossing pmf itself (independent of the count)."""
-
-    dmm: np.ndarray
-    dm: np.ndarray
-    mstar_pmf: np.ndarray
-
-
-@dataclass(frozen=True)
 class EmpiricalGainSample:
     """Offline Monte Carlo sample of a nonnegative annual gain."""
 
@@ -270,14 +259,6 @@ def mstar_pmf(m_star: int, lda: LDAModel, attachment: float) -> float:
     if m_star < 1:
         raise ValueError(f"m_star must be >= 1, got {m_star}")
     return float(_crossing_pmf(lda, attachment, m_star, m_star)[0])
-
-
-def pap_weights(lda: LDAModel, attachment: float) -> PAPWeights:
-    """Conditioning weights for the PAP decompositions (count x crossing index)."""
-    mix = lda.mixture()
-    mstar = _crossing_pmf(lda, attachment, 1, lda.m_max)
-    dm = mix.pm * mix.tails(attachment).cdf
-    return PAPWeights(dmm=np.triu(mstar[:, None] * mix.pm), dm=dm, mstar_pmf=mstar)
 
 
 # CrossingLaw nodes of PAP-local's crossing grid and PAP-global's gaps

@@ -10,7 +10,12 @@ composite inner grid.  Do not optimise it.
 
 import numpy as np
 
-from multistop.distributions import _gig_half_cdf, _ig_cdf, _ig_pdf
+from multistop.distributions import _ig_cdf, _ig_pdf, _ig_tails
+
+
+def _gig_half_cdf(x, alpha, beta):
+    """CDF of GIG(alpha, beta, +1/2): the ``G`` of IG(sqrt(beta / alpha), beta)."""
+    return _ig_tails(x, np.sqrt(np.asarray(beta) / np.asarray(alpha)), beta)[2]
 
 
 class ReferencePapGlobal:

@@ -24,14 +24,11 @@ from mc_oracles import (
     mc_expected_max,
     pap_paths,
 )
+from quad_oracle import GIGParams, bessel_k, gig_cdf, gig_pdf
 from tree_oracle import enumerate_expected_realized_gain, tree_game_value
 from multistop.distributions import (
     FrequencyModel,
-    GIGParams,
     IGParams,
-    bessel_k,
-    gig_cdf,
-    gig_pdf,
     ig_cdf,
     ig_sum_params,
     sample_ig,

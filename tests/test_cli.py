@@ -369,6 +369,7 @@ def test_validate_passes(capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+    assert "all 9 checks passed" in out
 
 
 def test_validate_failure_maps_to_numerical_exit(monkeypatch, capsys):
@@ -504,10 +505,21 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert _scipy_integrate_modules_after("import multistop.cli") == "[]"
 
 
-def test_pap_weights_leave_scipy_integrate_unloaded():
-    # the crossing pmf is a difference of IG-sum CDFs, not a quadrature
+def test_closed_form_tables_leave_scipy_integrate_unloaded():
+    # the six closed-form models at their preset contracts, one (8, 3) table
+    # each, and the crossing pmf: none of them integrates numerically
     statements = (
-        "from multistop import FrequencyModel, IGParams, LDAModel, pap_weights\n"
-        "pap_weights(LDAModel(FrequencyModel(3.0), IGParams(1.0, 1.0)), 4.0)"
+        "from multistop import Horizon, compute_value_table, gain_model_from_config\n"
+        "from multistop import lda_from_config, mstar_pmf, preset_config\n"
+        "from multistop.cli import VALUE_TABLE_PRESETS\n"
+        "cfgs = [VALUE_TABLE_PRESETS['lognormal']]\n"
+        "for name in ('alp-study', 'pap-study', 'ilp-study'):\n"
+        "    cfg = preset_config(name)\n"
+        "    cfgs += [{**cfg, 'objective': objective} for objective in cfg['objectives']]\n"
+        "assert len(cfgs) == 6\n"
+        "for cfg in cfgs:\n"
+        "    compute_value_table(gain_model_from_config(cfg), Horizon(T=8, k=3))\n"
+        "pap = preset_config('pap-study')\n"
+        "mstar_pmf(2, lda_from_config(pap), pap['policy']['param'])"
     )
     assert _scipy_integrate_modules_after(statements) == "[]"

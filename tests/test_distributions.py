@@ -6,22 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import kv, ndtr
+from scipy.special import ndtr
 from scipy.stats import kstest
 
-from multistop import distributions
 from multistop.distributions import (
     FrequencyModel,
-    GIGParams,
     IGParams,
-    NumericalError,
-    _gig_half_cdf,
     _ig_cdf,
     _ig_pdf,
     _ig_tails,
-    bessel_k,
-    gig_cdf,
-    gig_pdf,
     ig_cdf,
     ig_partial_expectation,
     ig_pdf,
@@ -34,53 +27,6 @@ from multistop.distributions import (
 )
 from multistop.policies import _PAP_BAND
 from quad_oracle import upper_tail_quadrature
-
-
-# ---------------------------------------------------------------- bessel_k
-
-
-def bessel_k_quadrature(p: float, z: float) -> float:
-    """Independent oracle: adaptive quadrature of (1/2) u^(p-1) e^{-z(u+1/u)/2}."""
-
-    def integrand(u):
-        return 0.5 * u ** (p - 1.0) * math.exp(-z * (u + 1.0 / u) / 2.0)
-
-    lo, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=400)
-    hi, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=400)
-    return lo + hi
-
-
-def test_bessel_half_order_closed_form():
-    assert bessel_k(0.5, 1.0) == pytest.approx(math.sqrt(math.pi / 2) * math.exp(-1.0), abs=1e-14)
-    assert abs(bessel_k(0.5, 1.0) - 0.4610) < 1e-4
-
-
-def test_bessel_symmetric_in_order():
-    assert bessel_k(-0.5, 3.0) == bessel_k(0.5, 3.0)
-    for p, z in [(2.0, 1.5), (1.3, 0.7), (3.7, 5.0)]:
-        assert bessel_k(p, z) == pytest.approx(bessel_k(-p, z), rel=1e-10)
-
-
-def test_bessel_general_order_matches_integral_definition():
-    assert bessel_k(2.0, 1.5) == pytest.approx(bessel_k_quadrature(2.0, 1.5), abs=1e-10)
-    # cross-check against the library implementation as a second route
-    assert bessel_k(2.0, 1.5) == pytest.approx(float(kv(2.0, 1.5)), rel=1e-10)
-
-
-@given(
-    st.floats(min_value=-4.0, max_value=4.0),
-    st.floats(min_value=0.2, max_value=8.0),
-)
-def test_bessel_symmetry_property(p, z):
-    assert bessel_k(p, z) == pytest.approx(bessel_k(-p, z), rel=1e-9, abs=1e-300)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-def test_bessel_domain_errors(bad):
-    with pytest.raises(ValueError):
-        bessel_k(0.5, bad)
-    with pytest.raises(ValueError):
-        bessel_k(bad if not math.isfinite(bad) else math.nan, 1.0)
 
 
 # ---------------------------------------------------------------- IG pdf/cdf
@@ -134,60 +80,17 @@ def test_ig_stable_in_extreme_shape_regime():
     assert 0.0 <= v <= 1.0 and math.isfinite(v)
 
 
-# ---------------------------------------------------------------- GIG
-
-
-def gauss_legendre_log_cdf(x: float, params: GIGParams, n: int = 400) -> float:
-    """Independent fixed-order oracle: Gauss-Legendre on the log-transformed axis."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    lo, hi = math.log(1e-12), math.log(x)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    tt = mid + half * t
-    u = np.exp(tt)
-    vals = gig_pdf(u, params) * u
-    return float(np.sum(w * vals) * half)
-
-
-def test_gig_cdf_limits():
-    params = GIGParams(alpha=1.0, beta=4.0, p=0.5)
-    assert gig_cdf(0.0, params) == 0.0
-    assert gig_cdf(math.inf, params) == 1.0
-
-
-def test_gig_cdf_against_fixed_order_oracle():
-    params = GIGParams(alpha=1.0, beta=4.0, p=0.5)
-    assert gig_cdf(2.0, params) == pytest.approx(gauss_legendre_log_cdf(2.0, params), abs=1e-10)
-
-
-def test_gig_matches_ig_sum_representation():
-    # IG(n mu, n^2 lam) coincides with GIG(lam/mu^2, n^2 lam, -1/2)
-    mu, lam, n = 1.0, 1.0, 2
-    summed = ig_sum_params(n, IGParams(mu=mu, lam=lam))
-    gig = GIGParams(alpha=lam / mu**2, beta=n * n * lam, p=-0.5)
-    assert gig_cdf(1.7, gig) == pytest.approx(ig_cdf(1.7, summed), abs=1e-9)
-    for x in np.linspace(0.3, 9.0, 12):
-        assert gig_cdf(float(x), gig) == pytest.approx(ig_cdf(float(x), summed), abs=1e-9)
-
-
-def test_gig_order_shift_density_identity():
-    # multiplying the order -1/2 density by x re-weights it to order +1/2
-    mu, lam, n = 1.4, 2.2, 3
-    alpha, beta = lam / mu**2, n * n * lam
-    neg = GIGParams(alpha=alpha, beta=beta, p=-0.5)
-    pos = GIGParams(alpha=alpha, beta=beta, p=0.5)
-    xs = np.linspace(0.1, 15.0, 40)
-    lhs = xs * gig_pdf(xs, neg)
-    rhs = n * mu * gig_pdf(xs, pos)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_gig_cdf_nonconvergence_raises(monkeypatch):
-    params = GIGParams(alpha=1.0, beta=4.0, p=0.5)
-    monkeypatch.setattr(distributions, "_GIG_ABS_TOL", 1e-30)
-    monkeypatch.setattr(distributions, "_GIG_REL_TOL", 1e-30)
-    monkeypatch.setattr(distributions, "_GIG_LIMIT", 2)
-    with pytest.raises(NumericalError):
-        gig_cdf(2.0, params)
+@pytest.mark.parametrize(
+    "call",
+    [ig_pdf, ig_cdf, ig_sf, lambda x, params: ig_partial_expectation(x, 2, params)],
+    ids=["ig_pdf", "ig_cdf", "ig_sf", "ig_partial_expectation"],
+)
+def test_nan_input_is_an_error(request, call):
+    name = request.node.callspec.id
+    params = IGParams(mu=1.0, lam=1.0)
+    for x in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match=f"{name} requires non-NaN x"):
+            call(x, params)
 
 
 # ---------------------------------------------------------------- IG sums
@@ -227,7 +130,7 @@ def test_gig_half_cdf_is_zero_at_subnormal_x_without_warnings():
     x = np.array([1e-310, 5e-324, 1e-300])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(_gig_half_cdf(x, 2.0, 3.0), np.zeros(3))
+        assert np.array_equal(_ig_tails(x, np.sqrt(3.0 / 2.0), 3.0)[2], np.zeros(3))
         assert ig_partial_expectation(1e-310, 2, IGParams(mu=1.0, lam=1.0)) == 0.0
 
 
@@ -257,28 +160,43 @@ def test_ig_tails_are_complementary_and_exact_at_the_ends(mu):
     assert [out[-1].tolist() for out in (cdf, sf, gig, gig_sf)] == [[1.0] * 8, [0.0] * 8] * 2
     # the thin views read the same kernel
     assert np.array_equal(_ig_cdf(TAIL_XS[:, None], mu, TAIL_SHAPES), cdf)
-    # (the GIG view recovers mu as sqrt(lam / alpha), which may round)
-    view = _gig_half_cdf(TAIL_XS[:, None], TAIL_SHAPES / mu**2, TAIL_SHAPES)
+    # (a GIG(alpha, beta, +1/2) caller recovers mu as sqrt(beta / alpha), which may round)
+    view = _ig_tails(TAIL_XS[:, None], np.sqrt(TAIL_SHAPES / (TAIL_SHAPES / mu**2)), TAIL_SHAPES)[2]
     assert np.allclose(view, gig, rtol=1e-13, atol=1e-15)
+
+
+# (lam, x) inputs beyond the grid: at mu = 0.01, lam = 10 (x = 0.01 is on the
+# grid), exp(2 lam / mu) is far past overflow and the density is a peak of
+# relative width 3% in log u
+BODY_EXTRA = {1e-2: [(10.0, 0.02)]}
 
 
 @pytest.mark.parametrize("mu", TAIL_MEANS)
 def test_ig_tails_match_quadrature_in_the_body(mu):
-    for lam in TAIL_SHAPES[::2]:
-        gig_params = GIGParams(alpha=lam / mu**2, beta=lam, p=0.5)
-        for x in mu * np.geomspace(1e-2, 1e2, 9):
-            cdf, _, gig, _ = (float(v) for v in _ig_tails(x, mu, lam))
-            assert cdf == ig_cdf(x, IGParams(mu=mu, lam=lam))
-            # breaks at the mean and 10 sd past it too, or quad misses the
-            # narrow peak of a large shape
-            peak = (mu, mu + 10.0 * math.sqrt(mu**3 / lam))
-            points = [min(mu, x) / 2, *(p for p in peak if p < x)]
-            direct, _ = integrate.quad(
-                lambda u: float(_ig_pdf(u, mu, lam)), 0.0, x, points=points, limit=400
-            )
-            assert cdf == pytest.approx(direct, abs=1e-9)
-            assert gig == pytest.approx(gig_cdf(x, gig_params), abs=1e-9)
-            assert ig_partial_expectation(x, 1, IGParams(mu=mu, lam=lam)) == pytest.approx(mu * gig, rel=1e-15)
+    grid = [(lam, x) for lam in TAIL_SHAPES[::2] for x in mu * np.geomspace(1e-2, 1e2, 9)]
+    for lam, x in grid + BODY_EXTRA.get(mu, []):
+        cdf, _, gig, _ = (float(v) for v in _ig_tails(x, mu, lam))
+        assert cdf == ig_cdf(x, IGParams(mu=mu, lam=lam))
+        # breaks at the mean and 10 sd past it too, or quad misses the
+        # narrow peak of a large shape
+        peak = (mu, mu + 10.0 * math.sqrt(mu**3 / lam))
+        points = [min(mu, x) / 2, *(p for p in peak if p < x)]
+        direct, _ = integrate.quad(
+            lambda u: float(_ig_pdf(u, mu, lam)), 0.0, x, points=points, limit=400
+        )
+        assert cdf == pytest.approx(direct, abs=1e-9)
+        # G is the lower partial mean over mu
+        direct, _ = integrate.quad(
+            lambda u: u * float(_ig_pdf(u, mu, lam)) / mu,
+            0.0,
+            x,
+            points=points,
+            epsabs=1e-13,
+            epsrel=1e-12,
+            limit=400,
+        )
+        assert gig == pytest.approx(direct, abs=1e-9)
+        assert ig_partial_expectation(x, 1, IGParams(mu=mu, lam=lam)) == pytest.approx(mu * gig, rel=1e-15)
 
 
 def _log_uniform(lo: float, hi: float):
@@ -306,17 +224,6 @@ def test_ig_sum_tails_are_exactly_one_in_the_band(mu, lam, r, scale):
     band = rr[rr >= y / mu + _PAP_BAND * math.sqrt(y / lam)]
     _, sf, _, gig_sf = _ig_tails(y, band * mu, band * band * lam)
     assert np.all(sf == 1.0) and np.all(gig_sf == 1.0)
-
-
-def test_gig_cdf_past_the_half_order_normalizer_underflow():
-    # sqrt(alpha beta) = 1000: K_{1/2} itself underflows to 0 there, and the
-    # density is a peak of relative width 3% in t = log u
-    params = GIGParams(alpha=1e5, beta=10.0, p=0.5)
-    got = gig_cdf(0.01, params)
-    assert got == pytest.approx(float(_ig_tails(0.01, 0.01, 10.0)[2]), abs=1e-9)
-    assert 0.4 < got < 0.6
-    assert gig_cdf(0.02, params) == pytest.approx(1.0, abs=1e-9)
-    assert gig_pdf(0.01, params) > 0.0
 
 
 @pytest.mark.parametrize("mu", TAIL_MEANS)
@@ -395,8 +302,6 @@ def test_parameter_validation():
         IGParams(mu=0.0, lam=1.0)
     with pytest.raises(ValueError):
         IGParams(mu=1.0, lam=-2.0)
-    with pytest.raises(ValueError):
-        GIGParams(alpha=0.0, beta=1.0, p=0.5)
     with pytest.raises(ValueError):
         FrequencyModel(rate=0.0)
     assert ig_sf(1.0, IGParams(mu=1.0, lam=1.0)) == pytest.approx(

@@ -37,6 +37,7 @@ from multistop.policies import (
     EmpiricalGainSample,
     ILPAuxModel,
     LDAModel,
+    _crossing_pmf,
     alp_global_model,
     alp_local_model,
     aux_from_config,
@@ -48,7 +49,6 @@ from multistop.policies import (
     mstar_pmf,
     pap_global_model,
     pap_local_model,
-    pap_weights,
     policy_from_config,
 )
 from multistop.stopping import (
@@ -174,15 +174,6 @@ def test_mstar_matches_first_passage_mc(rng):
     p_hat = hits.mean()
     se = math.sqrt(p_hat * (1 - p_hat) / n)
     assert abs(mstar_pmf(m_star, PAP_LDA, att) - p_hat) <= 3 * se
-
-
-def test_pap_weights_partition_each_count():
-    from multistop.distributions import poisson_pmf
-
-    weights = pap_weights(PAP_LDA, 4.0)
-    pm = poisson_pmf(np.arange(1, PAP_LDA.m_max + 1), PAP_LDA.frequency)
-    per_m = weights.dmm.sum(axis=0) + weights.dm
-    assert np.max(np.abs(per_m - pm)) < 1e-8
 
 
 # ---------------------------------------------------------------- PAP local
@@ -857,14 +848,14 @@ def test_crossing_law_matches_the_quad_crossing_pmf(name, n):
 
 @pytest.mark.parametrize("name", ["preset", "rate-2", "skewed"])
 def test_mstar_pmf_matches_the_quad_oracle(name):
-    # also past the count truncation, and bit for bit the pmf of pap_weights
+    # also past the count truncation, and bit for bit the pmf of the whole sweep
     rate, mu, lam, attachment = PAP_LAW_CASES[name]
     lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
-    weights = pap_weights(lda, attachment)
+    sweep = _crossing_pmf(lda, attachment, 1, lda.m_max)
     for j in range(1, lda.m_max + 4):
         p = mstar_pmf(j, lda, attachment)
         assert abs(p - crossing_pmf_quadrature(j, mu, lam, attachment)) <= 1e-12
-        assert j > lda.m_max or p == weights.mstar_pmf[j - 1]
+        assert j > lda.m_max or p == sweep[j - 1]
 
 
 def test_mstar_pmf_matches_mc_at_a_concentrated_contract(rng):
@@ -893,7 +884,7 @@ def test_mstar_pmf_sweep_is_a_partition(rate, mu, lam, scale):
     attachment = scale * lda.mean_annual_loss
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pmf = pap_weights(lda, attachment).mstar_pmf
+        pmf = _crossing_pmf(lda, attachment, 1, lda.m_max)
         never = lda.mixture().tails(attachment).cdf
     assert np.all((pmf >= 0.0) & (pmf <= 1.0))
     assert np.max(np.abs(np.cumsum(pmf) + never - 1.0)) <= 1e-12
