@@ -146,9 +146,11 @@ def cmd_advise(args) -> int:
                 return 0
             try:
                 w = to_gain(float(line.strip()))
-                break
             except ValueError:
-                print("not a number, try again")
+                w = math.nan
+            if not math.isnan(w):
+                break
+            print("not a number, try again")
         if decide(state, w) is Decision.CLAIM:
             claims.append(year)
             print(f"-> CLAIM (right {len(claims)} of {horizon.k})")

@@ -55,6 +55,8 @@ class MomentSet:
             raise ValueError(f"mean must be positive, got {self.mean}")
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise ValueError(f"variance must be positive, got {self.variance}")
+        if not math.isfinite(self.mu3):
+            raise ValueError(f"mu3 must be finite, got {self.mu3}")
         if not (self.mu4 > 0 and math.isfinite(self.mu4)):
             raise ValueError(f"mu4 must be positive, got {self.mu4}")
 
@@ -388,8 +390,8 @@ class GammaLocalGain(StopLossGain):
     """Exact reference model for Gamma(shape, rate) insured losses, W = -Zt."""
 
     def __init__(self, shape: float, rate: float) -> None:
-        if shape <= 0 or rate <= 0:
-            raise ValueError(f"need positive shape and rate, got ({shape}, {rate})")
+        if not (shape > 0 and rate > 0 and math.isfinite(shape) and math.isfinite(rate)):
+            raise ValueError(f"need finite positive shape and rate, got ({shape}, {rate})")
         self.shape = shape
         self.rate = rate
         super().__init__(-shape / rate)

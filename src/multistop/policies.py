@@ -137,8 +137,8 @@ class EmpiricalGainSample:
     def __post_init__(self) -> None:
         if len(self.draws) == 0:
             raise ConfigError("empirical gain sample must be nonempty")
-        if np.any(self.draws < 0):
-            raise ConfigError("gain draws must be nonnegative")
+        if not np.all((self.draws >= 0) & np.isfinite(self.draws)):
+            raise ConfigError("gain draws must be finite and nonnegative")
 
 
 def _leggauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:

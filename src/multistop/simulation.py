@@ -16,9 +16,10 @@ scenario and year by year, take their IG transform from
 ``standard_normal(total)`` (``j = 1``) and ``random(total)`` (``j = 2``).
 Each generator is read in order and only as far as the kept rows need, so a
 batch of ``n`` is the first ``n`` rows of any larger batch with the same
-seed.  A year's loss is the plain sum of its losses.  The objectives of a study share one (Z, Zt)
-panel, because they share its seed: ``ScenarioBatch.with_objective``
-derives the second ``W``.
+seed.  A year's loss is the left-to-right sum of its losses in draw order,
+and a PAP year keeps the largest such running total within the attachment.
+The objectives of a study share one (Z, Zt) panel, because they share its
+seed: ``ScenarioBatch.with_objective`` derives the second ``W``.
 
 The experiment harness replays four claim-timing rules on a common batch --
 the threshold rule from the value recursion, a fixed-years rule, a uniform
@@ -54,7 +55,7 @@ _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario 
 # so the block size is part of the stream contract: changing it changes results.
 _BLOCK = 1024
 # Names the stream contract of the module docstring in run reports.
-STREAMS = f"block{_BLOCK}-poisson-normal-uniform"
+STREAMS = f"block{_BLOCK}-poisson-normal-uniform-seqsum"
 # Shared histogram bins of a rule comparison, over all rules' outcomes.
 _HIST_BINS = 60
 
@@ -101,52 +102,14 @@ def _gain(z: np.ndarray, zt: np.ndarray, objective: Objective) -> np.ndarray:
     return (z - zt) if objective == GLOBAL else -zt
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    return rows.sum(axis=1)
-
-
-class _Segments:
-    """A block's scenario-year segments ``values[s : s + n]``, grouped by length.
-
-    A stable radix sort of the lengths, in their narrowest unsigned type,
-    orders the segments, and ``bincount`` gives each length's run in that
-    order.  Each group keeps the positions of its segments and the
-    ``(segments, n)`` gather index of their values, so every reduction over
-    the same segments reuses one grouping.
-    """
-
-    def __init__(self, starts: np.ndarray, lengths: np.ndarray) -> None:
-        self.starts = starts
-        self.size = lengths.size
-        sizes = np.bincount(lengths)
-        order = np.argsort(lengths.astype(np.min_scalar_type(sizes.size - 1)), kind="stable")
-        ends = np.cumsum(sizes)
-        self.groups = []
-        for n in np.flatnonzero(sizes[1:]) + 1:
-            rows = order[ends[n - 1] : ends[n]]
-            self.groups.append((rows, starts[rows, None] + np.arange(n)))
-
-    def reduce(self, values: np.ndarray, reduce_rows) -> np.ndarray:
-        """``reduce_rows`` applied to every segment of ``values``; 0 when empty.
-
-        Segments of equal length are reduced together as the rows of one
-        dense matrix.  A row-wise ``sum`` then takes the same pairwise path
-        as the 1-D ``values[s : s + n].sum()``, bit for bit;
-        ``np.add.reduceat`` does not.
-        """
-        out = np.zeros(self.size)
-        for rows, index in self.groups:
-            out[rows] = reduce_rows(values[index])
-        return out
-
-
 def _simulate(rate, severity, horizon_years, n_scenarios, seed, year_losses):
     """The simulation kernel: (Z, Zt) panels of compound-Poisson IG years.
 
     Scenarios are drawn in blocks of ``_BLOCK`` from the block streams of the
-    module docstring.  ``year_losses(xs, segments)`` maps the block's flat
-    severities and its scenario-year ``_Segments`` (scenario-major) to the
-    flat ``(z, zt)`` of those years.
+    module docstring.  ``year_losses(xs, year, n)`` maps the block's flat
+    severities, the scenario-year index of each (scenario-major, in draw
+    order) and the block's ``n`` scenario-years to the flat ``(z, zt)`` of
+    those years.
     """
     _check_sim_args(horizon_years, n_scenarios, seed)
     z = np.empty((n_scenarios, horizon_years))
@@ -160,8 +123,8 @@ def _simulate(rate, severity, horizon_years, n_scenarios, seed, year_losses):
         counts = counts_rng.poisson(rate, (hi - lo, horizon_years))
         total = int(counts.sum())
         xs = _ig_transform(severity, normal_rng.standard_normal(total), uniform_rng.random(total))
-        lengths = counts.ravel()
-        z_years, zt_years = year_losses(xs, _Segments(np.cumsum(lengths) - lengths, lengths))
+        year = np.repeat(np.arange(counts.size), counts.ravel())
+        z_years, zt_years = year_losses(xs, year, counts.size)
         z[lo:hi] = z_years.reshape(counts.shape)
         zt[lo:hi] = zt_years.reshape(counts.shape)
     return z, zt
@@ -173,15 +136,26 @@ def simulate_batch(
     """Simulate straight from the policy definition on the block streams."""
     kind, param = policy.kind, policy.param
 
-    def year_losses(xs, segments):
-        z = segments.reduce(xs, _row_sums)
+    def year_losses(xs, year, n):
+        # bincount adds each year's losses in draw order, starting from 0.0
+        z = np.bincount(year, xs, n)
         if kind == "ALP":
             return z, np.maximum(z - param, 0.0)
         if kind == "ILP":
-            return z, segments.reduce(np.maximum(xs - param, 0.0), _row_sums)
-        # PAP: the leading losses whose running total stays within the attachment
-        within = segments.reduce(xs, lambda m: (np.cumsum(m, axis=1) <= param).sum(axis=1))
-        return z, _Segments(segments.starts, within.astype(np.intp)).reduce(xs, _row_sums)
+            return z, np.bincount(year, np.maximum(xs - param, 0.0), n)
+        # PAP: a year within the attachment keeps Z.  Every other year keeps
+        # the largest running total within it; its losses go down one column
+        # of a zero-padded panel, where the totals rise.
+        over = z > param
+        counts = np.bincount(year, minlength=n)
+        pos = np.arange(xs.size) - (np.cumsum(counts) - counts)[year]
+        keep = over[year]
+        panel = np.zeros((counts.max(initial=0), np.count_nonzero(over)))
+        panel[pos[keep], (np.cumsum(over) - 1)[year[keep]]] = xs[keep]
+        totals = np.cumsum(panel, axis=0)
+        zt = z.copy()
+        zt[over] = np.where(totals <= param, totals, 0.0).max(axis=0, initial=0.0)
+        return z, zt
 
     z, zt = _simulate(
         lda.frequency.rate, lda.severity, horizon_years, n_scenarios, seed, year_losses
@@ -201,8 +175,8 @@ def simulate_aux_local_batch(
     ``Zt`` and the gain is ``-Zt``.
     """
 
-    def year_losses(xs, segments):
-        zt = segments.reduce(xs, _row_sums)
+    def year_losses(xs, year, n):
+        zt = np.bincount(year, xs, n)
         return zt, zt
 
     z, zt = _simulate(

@@ -268,6 +268,8 @@ class StoppingState:
 
 def decide(state: StoppingState, observed_gain: float) -> Decision:
     """Claim iff the observed gain meets the active threshold (ties claim)."""
+    if math.isnan(observed_gain):  # a NaN compares below every trigger, even a forced one
+        raise ValueError("observed gain must not be NaN")
     return Decision.CLAIM if observed_gain >= state.current_threshold else Decision.WAIT
 
 

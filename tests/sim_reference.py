@@ -8,6 +8,9 @@ walk of ``multistop.stopping.claim_years`` and ``reference_random_claim_years``
 the full-``argsort`` draw of the random comparison rule.  Do not optimise them.
 """
 
+import operator
+from functools import reduce
+
 import numpy as np
 
 from multistop.policies import GLOBAL, LOCAL, ConfigError
@@ -25,6 +28,11 @@ def _ig_from(params, normal, u):
     )
     x = np.maximum(x, np.finfo(float).tiny)
     return np.where(u <= mu / (mu + x), x, mu**2 / x)
+
+
+def _seq_sum(values):
+    # left to right from 0.0; Python 3.12's builtin sum compensates instead
+    return reduce(operator.add, values.tolist(), 0.0)
 
 
 def _scenario_years(rate, severity, horizon_years, n_scenarios, seed):
@@ -45,11 +53,11 @@ def _scenario_years(rate, severity, horizon_years, n_scenarios, seed):
 
 def _insured_year_loss(kind, param, xs):
     if kind == "ALP":
-        return max(float(xs.sum()) - param, 0.0)
+        return max(_seq_sum(xs) - param, 0.0)
     if kind == "ILP":
-        return float(np.maximum(xs - param, 0.0).sum())
+        return _seq_sum(np.maximum(xs - param, 0.0))
     if kind == "PAP":
-        return float(xs[np.cumsum(xs) <= param].sum())
+        return _seq_sum(xs[np.cumsum(xs) <= param])
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
@@ -58,7 +66,7 @@ def reference_simulate_batch(lda, policy, horizon_years, n_scenarios, seed):
     zt = np.zeros((n_scenarios, horizon_years))
     for i, years in _scenario_years(lda.frequency.rate, lda.severity, horizon_years, n_scenarios, seed):
         for t, year in enumerate(years):
-            z[i, t] = year.sum()
+            z[i, t] = _seq_sum(year)
             zt[i, t] = _insured_year_loss(policy.kind, policy.param, year)
     w = (z - zt) if policy.objective == GLOBAL else -zt
     return ScenarioBatch(
@@ -71,7 +79,7 @@ def reference_simulate_aux_local_batch(aux, horizon_years, n_scenarios, seed):
     zt = np.zeros((n_scenarios, horizon_years))
     for i, years in _scenario_years(aux.aux_rate, aux.aux_severity, horizon_years, n_scenarios, seed):
         for t, year in enumerate(years):
-            zt[i, t] = year.sum()
+            zt[i, t] = _seq_sum(year)
     return ScenarioBatch(
         kind="ILP-aux", param=aux.aux_rate, objective=LOCAL, seed=seed,
         z=zt.copy(), z_tilde=zt, w=-zt,

@@ -12,6 +12,8 @@ import pytest
 
 import multistop
 from multistop.cli import main
+from multistop.expansion import GammaLocalGain, MomentSet
+from multistop.policies import EmpiricalGainSample
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -190,6 +192,54 @@ def test_advise_raw_loss_sign_follows_the_built_model(tmp_path, monkeypatch, cap
     )
     assert code == 0
     assert "claims made in years: [1, 2, 4, 7]" in out
+
+
+def test_advise_reprompts_on_nan_and_claims_the_forced_year(monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["advise", "--preset", "lognormal", "--horizon-T", "3", "--horizon-k", "2"],
+        stdin_text="-9\nnan\n2\n-1\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    assert out.count("not a number") == 1
+    assert "-> CLAIM (right 1 of 2)" in out
+    assert "claims made in years: [2, 3]" in out
+
+
+# ---------------------------------------------------------------- input checks
+
+
+@pytest.mark.parametrize(
+    "build, command, cfg, field",
+    [
+        (
+            lambda: GammaLocalGain(math.nan, 1.0),
+            "value-table",
+            {"gamma": {"shape": math.nan, "rate": 1.0}, "objective": "local", "horizon": {"T": 4, "k": 2}},
+            "shape",
+        ),
+        (lambda: GammaLocalGain(2.0, math.inf), None, None, None),
+        (
+            lambda: MomentSet(1.0, 1.0, math.nan, 5.0),
+            "approx",
+            {"moments": {"mean": 1.0, "variance": 1.0, "mu3": math.nan, "mu4": 5.0}},
+            "mu3",
+        ),
+        (lambda: EmpiricalGainSample(draws=np.array([1.0, math.nan]), seed=0), None, None, None),
+    ],
+    ids=["gamma-shape-nan", "gamma-rate-inf", "moments-mu3-nan", "empirical-draw-nan"],
+)
+def test_non_finite_inputs_are_rejected(build, command, cfg, field, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        build()
+    if command is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and err["type"] == "config" and field in err["message"]
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- experiment

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 import multistop
@@ -100,9 +102,10 @@ def test_simulators_reject_bad_sizes_and_seeds(horizon_years, n_scenarios, seed)
 
 # ---------------------------------------------------------------- bit identity
 
-# Rate 0.05 leaves most years empty, 40 gives years of 9+ losses (numpy's
-# unrolled pairwise sum), 150 years of 128+ (its recursive split) and 256
-# years on both sides of 255 losses, so the counts no longer fit one byte.
+# Rate 0.05 leaves most years empty, and at seeds 11 and 12 the one-row
+# second block of 1025 scenarios draws no loss at all; 40, 150 and 256 give
+# years of 9+, 128+ and 255+ losses, where numpy's pairwise sum would part
+# from a left-to-right one.
 REFERENCE_CASES = [
     (rate, n) for rate in (0.05, 40.0) for n in (1, _BLOCK, _BLOCK + 1)
 ] + [(150.0, 40), (256.0, 2)]
@@ -133,6 +136,49 @@ def test_aux_batch_matches_frozen_loop(rate, n):
         simulate_aux_local_batch(aux, 3, n, seed=12),
         reference_simulate_aux_local_batch(aux, 3, n, seed=12),
     )
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=20)
+@given(
+    rate=_log_uniform(1e-3, 100.0),
+    mu=_log_uniform(0.1, 10.0),
+    lam=_log_uniform(0.1, 10.0),
+    param=_log_uniform(0.1, 50.0),
+    n=st.integers(1, 1100),
+    T=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rate=20.0, mu=0.5, lam=2.0, param=3.0, n=1100, T=2, seed=7)  # two blocks, long years
+def test_simulators_match_frozen_loops_across_contracts(rate, mu, lam, param, n, T, seed):
+    severity = IGParams(mu=mu, lam=lam)
+    lda = LDAModel(FrequencyModel(rate=rate), severity)
+    for kind in ("ALP", "ILP", "PAP"):
+        policy = PolicySpec(kind=kind, param=param, objective=GLOBAL)
+        _assert_same_panels(
+            simulate_batch(lda, policy, T, n, seed),
+            reference_simulate_batch(lda, policy, T, n, seed),
+        )
+    aux = ILPAuxModel(aux_rate=rate, aux_severity=severity)
+    _assert_same_panels(
+        simulate_aux_local_batch(aux, T, n, seed),
+        reference_simulate_aux_local_batch(aux, T, n, seed),
+    )
+
+
+def test_pap_years_of_every_shape_match_frozen_loops():
+    lda = LDAModel(FrequencyModel(rate=1.0), IGParams(mu=1.0, lam=1.0))
+    policy = PolicySpec(kind="PAP", param=1.0, objective=GLOBAL)
+    batch = simulate_batch(lda, policy, 3, 1000, seed=5)
+    _assert_same_panels(batch, reference_simulate_batch(lda, policy, 3, 1000, seed=5))
+    z, zt = batch.z, batch.z_tilde
+    assert np.any(z == 0.0)  # no losses
+    assert np.any((z > 0.0) & (zt == 0.0))  # the first loss exceeds the attachment
+    assert np.any((z > 0.0) & (zt == z))  # the total is within the attachment
+    assert np.any((zt > 0.0) & (zt < z))  # a later loss crosses it
 
 
 def _assert_prefixes_of_a_larger_batch(simulate):

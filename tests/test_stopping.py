@@ -254,6 +254,13 @@ def test_forced_state_claims_any_gain(ln_table_t7):
     assert decide(state, -1e12) is Decision.CLAIM
 
 
+@pytest.mark.parametrize("year", [1, 4])  # a free state and a forced one
+def test_nan_gain_is_rejected(ln_table_t7, year):
+    state = StoppingState(year=year, rights_used=0, horizon=Horizon(7, 4), table=ln_table_t7)
+    with pytest.raises(ValueError, match="NaN"):
+        decide(state, math.nan)
+
+
 def test_infeasible_state_rejected(ln_table_t7):
     with pytest.raises(ValueError):
         StoppingState(year=5, rights_used=0, horizon=Horizon(7, 4), table=ln_table_t7)
