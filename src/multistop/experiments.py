@@ -160,7 +160,9 @@ def run_experiment(
         if objective == GLOBAL:
             entry["price_proxy"] = _mean_claimed_gain(batch, taus)
         report["objectives"][objective] = entry
-        reports[objective] = (rr, triples, batch)
+        # the outputs read no per-path array: free them before the next replay
+        reports[objective] = (rr.without_paths(), triples)
+        del rr, taus
     if batch is not None and batch.kind == "ALP":
         # every objective's batch shares the first one's (Z, Zt) panel
         report["p_exceed_cap"] = {
@@ -173,13 +175,18 @@ def run_experiment(
 
 
 def write_outputs(report: dict, rule_reports: dict, out_dir: str | os.PathLike) -> None:
+    """Write report.json, hist.csv and triples.csv.
+
+    ``rule_reports`` maps each objective to a tuple that starts with its rule
+    report and its claim-year tally; any further items are not read.
+    """
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     with open(os.path.join(out_dir, "hist.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["objective", "rule", "bin_left", "bin_right", "count"])
-        for objective, (rr, _, _) in rule_reports.items():
+        for objective, (rr, *_) in rule_reports.items():
             for out in rr.outcomes:
                 for left, right, count in zip(
                     rr.hist_edges[:-1], rr.hist_edges[1:], out.hist_counts
@@ -188,7 +195,7 @@ def write_outputs(report: dict, rule_reports: dict, out_dir: str | os.PathLike) 
     with open(os.path.join(out_dir, "triples.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["objective", "taus", "count", "frequency"])
-        for objective, (rr, triples, _) in rule_reports.items():
+        for objective, (rr, triples, *_) in rule_reports.items():
             total = rr.n_scenarios
             for taus, count in triples.items():
                 writer.writerow(

@@ -26,6 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import Literal
 
 import numpy as np
@@ -141,8 +142,17 @@ class EmpiricalGainSample:
             raise ConfigError("gain draws must be finite and nonnegative")
 
 
-def _leggauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-node Gauss-Legendre rule on (-1, 1), computed once per process
+    and returned as read-only arrays."""
     t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _leggauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    t, w = _gauss_legendre(n)
     half = 0.5 * (hi - lo)
     return lo + half * (t + 1.0), half * w
 
@@ -420,7 +430,7 @@ class PapGlobalGain(StopLossGain):
         steps = np.cumsum(np.concatenate((h[1:, order], mix.pm[1:, None]), axis=1), axis=1)
         self._cuts = cuts
         self._seg_h = steps[:, np.minimum(np.arange(cuts.size - 1), steps.shape[1] - 1)]
-        self._t, self._w = np.polynomial.legendre.leggauss(_PAP_SEG_NODES)
+        self._t, self._w = _gauss_legendre(_PAP_SEG_NODES)
         self._x, wf = self._pieces(cuts[:-1], cuts[1:])
         self._hx = np.repeat(self._seg_h, _PAP_SEG_NODES, axis=1) * wf
         self._rr = np.arange(1, m_max)[:, None]

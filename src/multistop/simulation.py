@@ -48,7 +48,7 @@ from .policies import (
     Objective,
     PolicySpec,
 )
-from .stopping import ValueTable, claim_years, thresholds
+from .stopping import ValueTable, _row_blocks, claim_years, thresholds
 
 _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario streams
 # Scenarios per block of the simulation kernel.  Each block owns its streams,
@@ -224,22 +224,40 @@ def rule_claim_years(
         years = np.asarray(rule.years, dtype=int)
         if years.size != k or years[-1] > T or years[0] < 1:
             raise ConfigError(f"deterministic years {rule.years} incompatible with T={T}, k={k}")
-        return np.tile(years, (m, 1))
+        return np.broadcast_to(years, (m, k))
     if rule.kind == "random":
         # the years of each path's k smallest uniforms; argpartition selects
-        # the positions a full argsort puts first
+        # the positions a full argsort puts first.  The one generator is read
+        # a row block at a time, which gives the draws of one (m, T) call.
         rng = np.random.default_rng(np.random.SeedSequence([batch.seed, _RULE_STREAM_TAG]))
-        picked = np.argpartition(rng.random((m, T)), k - 1, axis=1)[:, :k]
-        return np.sort(picked + 1, axis=1)
+        taus = np.empty((m, k), dtype=int)
+        for block in _row_blocks(m):
+            picked = np.argpartition(rng.random((block.stop - block.start, T)), k - 1, axis=1)
+            taus[block] = np.sort(picked[:, :k] + 1, axis=1)
+        return taus
     # average: claim once the gain reaches E[W], and wherever a claim is forced
     b = thresholds(table)
     return claim_years(batch.w, np.where(np.isneginf(b), -np.inf, table.value(1, 1)))
 
 
-def _claimed(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """``panel[i, taus[i] - 1]`` for every path ``i``: its (M, k) claim-year entries."""
+def _claimed_sums(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``panel[i, taus[i] - 1].sum()`` for every path ``i``, a row block at a time."""
     m, T = panel.shape
-    return panel.ravel().take(taus + (np.arange(0, m * T, T) - 1)[:, None])
+    sums = np.empty(m)
+    for block in _row_blocks(m):
+        rows = panel[block].ravel()
+        offsets = np.arange(0, rows.size, T) - 1
+        sums[block] = rows.take(taus[block] + offsets[:, None]).sum(axis=1)
+    return sums
+
+
+def _check_claim_years(batch: ScenarioBatch, taus: np.ndarray, k: int | None = None) -> None:
+    """Raise unless ``taus`` holds ``k`` claim years in 1..T for every path of the batch."""
+    m, T = batch.z.shape
+    if np.ndim(taus) != 2 or taus.shape[0] != m or (k is not None and taus.shape[1] != k):
+        raise ConfigError(f"claim years have shape {np.shape(taus)}, need ({m}, {k or 'k'})")
+    if taus.size and (taus.min() < 1 or taus.max() > T):
+        raise ConfigError(f"claim years must lie in 1..{T}")
 
 
 def objective_values(
@@ -247,14 +265,16 @@ def objective_values(
 ) -> np.ndarray:
     """Per-path realized objective (a loss; smaller is better).
 
+    ``taus`` are the (M, k) claim years of the batch's paths, each in 1..T.
     ``z_totals`` is ``batch.z.sum(axis=1)`` when already formed; the global
     objective reads it.
     """
+    _check_claim_years(batch, taus)
     if batch.objective == GLOBAL:
         if z_totals is None:
             z_totals = batch.z.sum(axis=1)
-        return z_totals - _claimed(batch.w, taus).sum(axis=1)
-    return _claimed(batch.z_tilde, taus).sum(axis=1)
+        return z_totals - _claimed_sums(batch.w, taus)
+    return _claimed_sums(batch.z_tilde, taus)
 
 
 def reference_lines(
@@ -279,8 +299,8 @@ class RuleOutcome:
     mean: float
     stderr: float
     hist_counts: np.ndarray
-    taus: np.ndarray
-    values: np.ndarray
+    taus: np.ndarray | None
+    values: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -296,6 +316,12 @@ class RuleReport:
             if out.name == name:
                 return out
         raise KeyError(name)
+
+    def without_paths(self) -> RuleReport:
+        """The report without per-path claim years and values (no :meth:`paired_pvalue`)."""
+        return replace(
+            self, outcomes=tuple(replace(out, taus=None, values=None) for out in self.outcomes)
+        )
 
     def paired_pvalue(self, other: str, optimal: str = "optimal") -> float:
         """One-sided p-value that the threshold rule's mean objective is smaller."""
@@ -316,14 +342,16 @@ def compare_rules(
 ) -> RuleReport:
     """Replay each rule on the batch and histogram the realized objectives.
 
-    ``random_taus`` are the random rule's claim years when already drawn.
-    They depend only on the batch's seed, its shape and ``k``, so the
+    ``random_taus`` are the random rule's (M, k) claim years when already
+    drawn.  They depend only on the batch's seed, its shape and ``k``, so the
     objectives of one study share them.
     """
     if k != table.k:
         raise ConfigError(f"rule comparison k={k} does not match table k={table.k}")
     if batch.horizon_years != table.T:
         raise ConfigError("batch and value table horizon mismatch")
+    if random_taus is not None:
+        _check_claim_years(batch, random_taus, k)
     z_totals = batch.z.sum(axis=1) if batch.objective == GLOBAL else None
     per_rule = []
     for rule in rules:
@@ -332,8 +360,9 @@ def compare_rules(
         else:
             taus = rule_claim_years(batch, table, rule)
         per_rule.append((rule.kind, taus, objective_values(batch, taus, z_totals)))
-    all_vals = np.concatenate([v for _, _, v in per_rule])
-    edges = np.histogram_bin_edges(all_vals, bins=_HIST_BINS)
+    # the shared edges depend only on the smallest and the largest value
+    extremes = np.array([(vals.min(), vals.max()) for _, _, vals in per_rule])
+    edges = np.histogram_bin_edges(extremes, bins=_HIST_BINS)
     outcomes = tuple(
         RuleOutcome(
             name=name,
@@ -364,12 +393,26 @@ def stopping_time_distribution(
 
 
 def _claim_year_tally(taus: np.ndarray) -> dict[tuple[int, ...], int]:
-    # sort the rows lexicographically (lexsort keys run last column first)
-    # and tally each run of equal rows
-    s = taus[np.lexsort(taus.T[::-1])]
-    starts = np.flatnonzero(np.concatenate(([True], np.any(s[1:] != s[:-1], axis=1))))
+    """Counts of the distinct rows of ``taus``, in lexicographic order.
+
+    Each row is one integer key, its years as digits in base ``max + 1``, so
+    keys sort as rows do.  Where the next digit could overflow an int64, the
+    keys are first replaced by their dense ranks, which keep their order.
+    Equal keys are equal rows, so the sort need not be stable.
+    """
+    base = int(taus.max()) + 1
+    key, bound = np.zeros(len(taus), dtype=np.int64), 1  # every key is below bound
+    for column in taus.T:
+        if bound * base > 2**63:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = int(key.max()) + 1
+        key = key * base + column
+        bound *= base
+    order = np.argsort(key)
+    s = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
     counts = np.diff(starts, append=len(s))
-    return {tuple(key): count for key, count in zip(s[starts].tolist(), counts.tolist())}
+    return {tuple(row): count for row, count in zip(taus[order[starts]].tolist(), counts.tolist())}
 
 
 def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:
@@ -383,7 +426,7 @@ def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:
 
 
 def _mean_claimed_gain(batch: ScenarioBatch, taus: np.ndarray) -> float:
-    return float(_claimed(batch.w, taus).sum(axis=1).mean())
+    return float(_claimed_sums(batch.w, taus).mean())
 
 
 def exceedance_probability(lda: LDAModel, cap: float) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -38,6 +39,7 @@ from multistop.policies import (
     ILPAuxModel,
     LDAModel,
     _crossing_pmf,
+    _gauss_legendre,
     alp_global_model,
     alp_local_model,
     aux_from_config,
@@ -677,6 +679,21 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
+def _at_corners(**ranges):
+    """An ``@example`` at every corner of the given ranges.
+
+    The derandomized hypothesis profile seldom draws the ends of a range, so
+    the sweeps below name them.
+    """
+
+    def add(test):
+        for corner in itertools.product(*ranges.values()):
+            test = example(**dict(zip(ranges, corner)))(test)
+        return test
+
+    return add
+
+
 SWEEP_HORIZON = Horizon(T=6, k=3)
 
 
@@ -699,6 +716,7 @@ def _assert_valid_table(model, local: bool) -> None:
     lam=_log_uniform(0.01, 100.0),
     scale=_log_uniform(0.01, 100.0),
 )
+@_at_corners(rate=(0.1, 100.0), mu=(0.01, 100.0), lam=(0.01, 100.0), scale=(0.01, 100.0))
 def test_contract_sweep_gives_valid_tables(rate, mu, lam, scale):
     # the policy parameter spans four decades around the mean annual loss
     lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
@@ -722,6 +740,7 @@ PAP_SWEEP = dict(
 
 @settings(max_examples=30)  # a PAP-global table costs about 0.03 s here
 @given(**PAP_SWEEP)
+@_at_corners(rate=(0.1, 10.0), mu=(0.01, 100.0), lam=(0.01, 100.0), scale=(0.01, 100.0))
 def test_pap_global_sweep_gives_valid_tables(rate, mu, lam, scale):
     lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
     _assert_valid_table(pap_global_model(lda, scale * lda.mean_annual_loss), local=False)
@@ -844,6 +863,15 @@ def test_crossing_law_matches_the_quad_crossing_pmf(name, n):
     for j in range(2, lda.m_max + 1):
         grid = np.sum(law.w * law.sf[:-1] * law.dens[j - 2])
         assert abs(grid - mstar_pmf(j, lda, attachment)) <= 1e-12
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    t, w = _gauss_legendre(128)
+    assert _gauss_legendre(128)[0] is t
+    fresh_t, fresh_w = np.polynomial.legendre.leggauss(128)
+    assert np.array_equal(t, fresh_t) and np.array_equal(w, fresh_w)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["preset", "rate-2", "skewed"])

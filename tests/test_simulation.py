@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.stats import chisquare
 import multistop
 from multistop.distributions import FrequencyModel, IGParams, _ig_transform
 import multistop.experiments
-from multistop.experiments import preset_config, run_experiment
+from multistop.experiments import EXPERIMENT_PRESETS, preset_config, run_experiment
 from multistop.policies import GLOBAL, LOCAL, ConfigError, ILPAuxModel, LDAModel, PolicySpec
 from multistop.policies import alp_global_model, alp_local_model, lda_from_config
 from multistop.simulation import (
@@ -29,9 +30,18 @@ from multistop.simulation import (
     simulate_batch,
     stopping_time_distribution,
 )
-from multistop.stopping import Decision, Horizon, StoppingState, compute_value_table, decide
+from multistop.stopping import (
+    Decision,
+    Horizon,
+    StoppingState,
+    claim_years,
+    compute_value_table,
+    decide,
+    thresholds,
+)
 from quad_oracle import upper_tail_quadrature
 from sim_reference import (
+    reference_claim_years,
     reference_random_claim_years,
     reference_simulate_aux_local_batch,
     reference_simulate_batch,
@@ -483,19 +493,29 @@ def test_stopping_time_distribution_matches_row_loop(small_batch, global_table):
     assert all(type(c) is int for c in dist.values())
 
 
+def _repeated_long_rows():
+    """2,000 claim-year rows at T=40, k=12, about ten of each of 200 rows,
+    with the first and the last row in lexicographic order among them."""
+    rows = reference_random_claim_years(9, 200, 40, 12)
+    rows[:2] = [np.arange(1, 13), np.arange(29, 41)]
+    return rows[np.random.default_rng(1).integers(0, 200, 2000)]
+
+
 @pytest.mark.parametrize(
-    "taus",
+    "T, taus",
     [
-        np.array([[2, 5, 7], [1, 2, 3], [2, 5, 7], [1, 2, 8], [1, 2, 3], [2, 5, 7], [1, 3, 4]]),
-        np.array([[4], [1], [4], [8], [1], [4]]),
-        np.array([[3, 6, 8]]),
+        (8, np.array([[2, 5, 7], [1, 2, 3], [2, 5, 7], [1, 2, 8], [1, 2, 3], [2, 5, 7], [1, 3, 4]])),
+        (8, np.array([[4], [1], [4], [8], [1], [4]])),
+        (8, np.array([[3, 6, 8]])),
+        # 41**12 > 2**63: the row keys must be re-ranked before they overflow
+        (40, _repeated_long_rows()),
     ],
-    ids=["repeated", "k1", "one-scenario"],
+    ids=["repeated", "k1", "one-scenario", "T40-k12"],
 )
-def test_stopping_time_distribution_matches_unique_tally(monkeypatch, small_batch, taus):
+def test_stopping_time_distribution_matches_unique_tally(monkeypatch, small_batch, T, taus):
     # the claim years are fixed, so only the tally is under test
     monkeypatch.setattr(multistop.simulation, "rule_claim_years", lambda *args: taus)
-    table = compute_value_table(alp_global_model(LDA, 10.0), Horizon(T=8, k=taus.shape[1]))
+    table = compute_value_table(alp_global_model(LDA, 10.0), Horizon(T=T, k=taus.shape[1]))
     keys, counts = np.unique(taus, axis=0, return_counts=True)
     expected = {tuple(key): count for key, count in zip(keys.tolist(), counts.tolist())}
     dist = stopping_time_distribution(small_batch, table, taus.shape[1])
@@ -544,3 +564,76 @@ def test_compare_rules_dimension_checks(small_batch, global_table):
     short = simulate_batch(LDA, ALP_GLOBAL, 7, 50, seed=1)
     with pytest.raises(ConfigError):
         compare_rules(short, global_table, default_rules([1, 5, 8]), 3, lda=LDA)
+
+
+def test_replay_rejects_claim_years_of_the_wrong_shape(small_batch, global_table):
+    # a (1, k) array would broadcast one path's years over every path
+    one_row = reference_random_claim_years(5, 1, 8, 3)
+    with pytest.raises(ConfigError, match="shape"):
+        compare_rules(small_batch, global_table, default_rules([1, 5, 8]), 3, lda=LDA, random_taus=one_row)
+    with pytest.raises(ConfigError, match="shape"):
+        objective_values(small_batch, one_row)
+    two_rights = reference_random_claim_years(5, small_batch.n_scenarios, 8, 2)
+    with pytest.raises(ConfigError, match="shape"):
+        compare_rules(small_batch, global_table, default_rules([1, 5, 8]), 3, lda=LDA, random_taus=two_rights)
+    with pytest.raises(ConfigError, match="shape"):
+        objective_values(small_batch, two_rights[:, 0])
+
+
+@pytest.mark.parametrize("year", [0, 9])
+def test_replay_rejects_claim_years_outside_the_horizon(small_batch, global_table, year):
+    # year 0 would read the previous path's last year, year T + 1 the next path's first
+    taus = reference_random_claim_years(5, small_batch.n_scenarios, 8, 3)
+    taus[0, 0 if year == 0 else 2] = year
+    with pytest.raises(ConfigError, match="1..8"):
+        objective_values(small_batch, taus)
+    with pytest.raises(ConfigError, match="1..8"):
+        compare_rules(small_batch, global_table, default_rules([1, 5, 8]), 3, lda=LDA, random_taus=taus)
+
+
+@pytest.mark.parametrize("objective", [GLOBAL, LOCAL])
+def test_replay_in_small_row_blocks_matches_the_frozen_replay(monkeypatch, objective):
+    # 2,500 paths in blocks of 7 rows, the last one short
+    model = {GLOBAL: alp_global_model, LOCAL: alp_local_model}[objective](LDA, 10.0)
+    table = compute_value_table(model, Horizon(T=8, k=3))
+    batch = simulate_batch(LDA, PolicySpec("ALP", 10.0, objective), 8, 2500, seed=19)
+    rules = default_rules([1, 5, 8])
+    whole = compare_rules(batch, table, rules, 3, lda=LDA)
+    monkeypatch.setattr(multistop.stopping, "_REPLAY_ROWS", 7)
+    b = thresholds(table)
+    assert np.array_equal(claim_years(batch.w, b), reference_claim_years(batch.w, b))
+    random_taus = rule_claim_years(batch, table, ComparisonRule("random"))
+    assert np.array_equal(random_taus, reference_random_claim_years(19, 2500, 8, 3))
+    rows = np.arange(batch.n_scenarios)[:, None]
+    for rule in rules:
+        taus = rule_claim_years(batch, table, rule)
+        if objective == GLOBAL:
+            frozen = batch.z.sum(axis=1) - batch.w[rows, taus - 1].sum(axis=1)
+        else:
+            frozen = batch.z_tilde[rows, taus - 1].sum(axis=1)
+        assert np.array_equal(objective_values(batch, taus), frozen)
+    blocked = compare_rules(batch, table, rules, 3, lda=LDA)
+    frozen_edges = np.histogram_bin_edges(
+        np.concatenate([out.values for out in whole.outcomes]), bins=len(whole.hist_edges) - 1
+    )
+    assert np.array_equal(blocked.hist_edges, frozen_edges)
+    for got, want in zip(blocked.outcomes, whole.outcomes):
+        assert (got.name, got.mean, got.stderr) == (want.name, want.mean, want.stderr)
+        for field in ("hist_counts", "taus", "values"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("preset", sorted(EXPERIMENT_PRESETS))
+def test_study_peak_memory_is_its_panel_and_little_else(preset):
+    # the (Z, Zt, W) panel is 24 bytes per scenario-year; the rules' value
+    # vectors and the threshold, random and average rules' claim years add
+    # about 13 at T = 8, k = 3
+    n = 20_000
+    run_experiment(preset, n_scenarios=200)  # first-call caches are not the study's
+    tracemalloc.start()
+    try:
+        run_experiment(preset, n_scenarios=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n * preset_config(preset)["horizon"]["T"]
