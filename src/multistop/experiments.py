@@ -32,12 +32,12 @@ from .policies import (
 from .simulation import (
     STREAMS,
     _claim_year_tally,
-    _mean_claimed_gain,
-    compare_rules,
+    _policy_chunks,
+    _Replay,
+    _simulate,
     default_rules,
     exceedance_probability,
-    simulate_aux_local_batch,
-    simulate_batch,
+    reference_lines,
 )
 from .stopping import compute_value_table
 
@@ -117,29 +117,31 @@ def run_experiment(
         "horizon": {"T": horizon.T, "k": horizon.k},
         "objectives": {},
     }
-    reports = {}
-    lda = batch = random_taus = None
+    tables, lda, chunks, cap = {}, None, (), None
     for given in objectives_from_config(cfg):
         run_cfg = {**cfg, "objective": given}
         kind, objective = policy_choice(run_cfg)
         if kind == "ILP" and objective != LOCAL:
             raise ConfigError("the ILP study runs under the local objective only")
         model = gain_model_from_config(run_cfg)
-        table = compute_value_table(model, horizon)
+        tables[objective] = compute_value_table(model, horizon)
         # one (Z, Zt) panel per study: the objectives share its seed
-        if batch is not None:
-            batch = batch.with_objective(objective)
-        elif kind == "ILP":
-            batch = simulate_aux_local_batch(model.aux, horizon.T, n_sim, run_seed)
+        if kind == "ILP":
+            chunks = _simulate(model.aux.aux_rate, model.aux.aux_severity, horizon.T, n_sim, run_seed)
         else:
-            lda = model.lda
-            batch = simulate_batch(lda, policy_from_config(run_cfg), horizon.T, n_sim, run_seed)
-        rules = default_rules(det_years)
-        rr = compare_rules(batch, table, rules, horizon.k, lda=lda, random_taus=random_taus)
-        random_taus = rr.outcome("random").taus
-        # the threshold rule's claim years, walked once for the tally and the proxy
-        taus = rr.outcome("optimal").taus
-        triples = _claim_year_tally(taus)
+            lda, policy = model.lda, policy_from_config(run_cfg)
+            chunks = _policy_chunks(lda, policy, horizon.T, n_sim, run_seed)
+            cap = policy.param if kind == "ALP" else None
+    replay = _Replay(tables, default_rules(det_years), horizon.k, n_sim, run_seed)
+    exceeding = 0
+    for z, zt in chunks:
+        replay.add(z, zt)
+        if cap is not None:
+            exceeding += int(np.count_nonzero(z > cap))
+    reports = {}
+    for objective, table in tables.items():
+        rr = replay.report(objective, reference_lines(table, lda, objective))
+        triples = _claim_year_tally(replay.taus[objective])
         p_values = {other: rr.paired_pvalue(other) for other in ("deterministic", "random", "average")}
         entry = {
             "game_value": table.game_value,
@@ -158,16 +160,13 @@ def run_experiment(
             ],
         }
         if objective == GLOBAL:
-            entry["price_proxy"] = _mean_claimed_gain(batch, taus)
+            entry["price_proxy"] = float(replay.claimed.mean())
         report["objectives"][objective] = entry
-        # the outputs read no per-path array: free them before the next replay
-        reports[objective] = (rr.without_paths(), triples)
-        del rr, taus
-    if batch is not None and batch.kind == "ALP":
-        # every objective's batch shares the first one's (Z, Zt) panel
+        reports[objective] = (rr, triples)
+    if cap is not None:
         report["p_exceed_cap"] = {
-            "empirical": float(np.mean(batch.z > batch.param)),
-            "analytic": exceedance_probability(lda, batch.param),
+            "empirical": exceeding / (n_sim * horizon.T),
+            "analytic": exceedance_probability(lda, cap),
         }
     if out_dir is not None:
         write_outputs(report, reports, out_dir)

@@ -18,8 +18,10 @@ Each generator is read in order and only as far as the kept rows need, so a
 batch of ``n`` is the first ``n`` rows of any larger batch with the same
 seed.  A year's loss is the left-to-right sum of its losses in draw order,
 and a PAP year keeps the largest such running total within the attachment.
-The objectives of a study share one (Z, Zt) panel, because they share its
-seed: ``ScenarioBatch.with_objective`` derives the second ``W``.
+A study simulates its scenarios one chunk of whole blocks at a time and
+replays every objective's rules on each chunk before it draws the next, so it
+holds no panel: the objectives share each chunk's (Z, Zt), because they share
+its seed.
 
 The experiment harness replays four claim-timing rules on a common batch --
 the threshold rule from the value recursion, a fixed-years rule, a uniform
@@ -32,7 +34,7 @@ game value is the negative of the optimal expected loss in local mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,7 +50,7 @@ from .policies import (
     Objective,
     PolicySpec,
 )
-from .stopping import ValueTable, _row_blocks, claim_years, thresholds
+from .stopping import ValueTable, claim_years, thresholds
 
 _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario streams
 # Scenarios per block of the simulation kernel.  Each block owns its streams,
@@ -56,6 +58,9 @@ _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario 
 _BLOCK = 1024
 # Names the stream contract of the module docstring in run reports.
 STREAMS = f"block{_BLOCK}-poisson-normal-uniform-seqsum"
+# Scenarios per chunk of a study: whole blocks, simulated and replayed in turn.
+# It bounds a study's temporaries; no result depends on it.
+_CHUNK = 4 * _BLOCK
 # Shared histogram bins of a rule comparison, over all rules' outcomes.
 _HIST_BINS = 60
 
@@ -80,14 +85,6 @@ class ScenarioBatch:
     def horizon_years(self) -> int:
         return self.z.shape[1]
 
-    def with_objective(self, objective: Objective) -> ScenarioBatch:
-        """The same (Z, Zt) panel under another objective.
-
-        Equal, array for array, to simulating the batch again with the same
-        seed for that objective: the draws do not depend on the objective.
-        """
-        return replace(self, objective=objective, w=_gain(self.z, self.z_tilde, objective))
-
 
 def _check_sim_args(horizon_years: int, n_scenarios: int, seed: int) -> None:
     if n_scenarios < 1:
@@ -102,52 +99,53 @@ def _gain(z: np.ndarray, zt: np.ndarray, objective: Objective) -> np.ndarray:
     return (z - zt) if objective == GLOBAL else -zt
 
 
-def _simulate(rate, severity, horizon_years, n_scenarios, seed, year_losses):
+def _simulate(rate, severity, horizon_years, n_scenarios, seed, insured=None, chunk=_CHUNK):
     """The simulation kernel: (Z, Zt) panels of compound-Poisson IG years.
 
     Scenarios are drawn in blocks of ``_BLOCK`` from the block streams of the
-    module docstring.  ``year_losses(xs, year, n)`` maps the block's flat
+    module docstring and yielded ``chunk`` rows at a time (a multiple of
+    ``_BLOCK``, or every row).  ``insured(xs, year, z)`` maps the block's flat
     severities, the scenario-year index of each (scenario-major, in draw
-    order) and the block's ``n`` scenario-years to the flat ``(z, zt)`` of
-    those years.
+    order) and the flat ``Z`` of its years to their flat ``Zt``; without it,
+    ``Zt`` is ``Z``, one array.
     """
     _check_sim_args(horizon_years, n_scenarios, seed)
-    z = np.empty((n_scenarios, horizon_years))
-    zt = np.empty((n_scenarios, horizon_years))
-    for b, lo in enumerate(range(0, n_scenarios, _BLOCK)):
-        hi = min(lo + _BLOCK, n_scenarios)
-        counts_rng, normal_rng, uniform_rng = (
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b, j)))
-            for j in range(3)
-        )
-        counts = counts_rng.poisson(rate, (hi - lo, horizon_years))
-        total = int(counts.sum())
-        xs = _ig_transform(severity, normal_rng.standard_normal(total), uniform_rng.random(total))
-        year = np.repeat(np.arange(counts.size), counts.ravel())
-        z_years, zt_years = year_losses(xs, year, counts.size)
-        z[lo:hi] = z_years.reshape(counts.shape)
-        zt[lo:hi] = zt_years.reshape(counts.shape)
-    return z, zt
+    for start in range(0, n_scenarios, chunk):
+        stop = min(start + chunk, n_scenarios)
+        z = np.empty((stop - start, horizon_years))
+        zt = z if insured is None else np.empty_like(z)
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            counts_rng, normal_rng, uniform_rng = (
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK, j)))
+                for j in range(3)
+            )
+            counts = counts_rng.poisson(rate, (hi - lo, horizon_years))
+            total = int(counts.sum())
+            xs = _ig_transform(severity, normal_rng.standard_normal(total), uniform_rng.random(total))
+            year = np.repeat(np.arange(counts.size), counts.ravel())
+            # bincount adds each year's losses in draw order, starting from 0.0
+            z_years = np.bincount(year, xs, counts.size)
+            z[lo - start : hi - start] = z_years.reshape(counts.shape)
+            if insured is not None:
+                zt[lo - start : hi - start] = insured(xs, year, z_years).reshape(counts.shape)
+        yield z, zt
 
 
-def simulate_batch(
-    lda: LDAModel, policy: PolicySpec, horizon_years: int, n_scenarios: int, seed: int
-) -> ScenarioBatch:
-    """Simulate straight from the policy definition on the block streams."""
+def _policy_chunks(lda: LDAModel, policy: PolicySpec, horizon_years, n_scenarios, seed, chunk=_CHUNK):
+    """(Z, Zt) panels straight from the policy definition, ``chunk`` rows at a time."""
     kind, param = policy.kind, policy.param
 
-    def year_losses(xs, year, n):
-        # bincount adds each year's losses in draw order, starting from 0.0
-        z = np.bincount(year, xs, n)
+    def insured(xs, year, z):
         if kind == "ALP":
-            return z, np.maximum(z - param, 0.0)
+            return np.maximum(z - param, 0.0)
         if kind == "ILP":
-            return z, np.bincount(year, np.maximum(xs - param, 0.0), n)
+            return np.bincount(year, np.maximum(xs - param, 0.0), z.size)
         # PAP: a year within the attachment keeps Z.  Every other year keeps
         # the largest running total within it; its losses go down one column
         # of a zero-padded panel, where the totals rise.
         over = z > param
-        counts = np.bincount(year, minlength=n)
+        counts = np.bincount(year, minlength=z.size)
         pos = np.arange(xs.size) - (np.cumsum(counts) - counts)[year]
         keep = over[year]
         panel = np.zeros((counts.max(initial=0), np.count_nonzero(over)))
@@ -155,13 +153,20 @@ def simulate_batch(
         totals = np.cumsum(panel, axis=0)
         zt = z.copy()
         zt[over] = np.where(totals <= param, totals, 0.0).max(axis=0, initial=0.0)
-        return z, zt
+        return zt
 
-    z, zt = _simulate(
-        lda.frequency.rate, lda.severity, horizon_years, n_scenarios, seed, year_losses
+    return _simulate(
+        lda.frequency.rate, lda.severity, horizon_years, n_scenarios, seed, insured, chunk
     )
+
+
+def simulate_batch(
+    lda: LDAModel, policy: PolicySpec, horizon_years: int, n_scenarios: int, seed: int
+) -> ScenarioBatch:
+    """Simulate straight from the policy definition on the block streams."""
+    ((z, zt),) = _policy_chunks(lda, policy, horizon_years, n_scenarios, seed, n_scenarios)
     return ScenarioBatch(
-        kind=kind, param=param, objective=policy.objective, seed=seed,
+        kind=policy.kind, param=policy.param, objective=policy.objective, seed=seed,
         z=z, z_tilde=zt, w=_gain(z, zt, policy.objective),
     )
 
@@ -171,16 +176,11 @@ def simulate_aux_local_batch(
 ) -> ScenarioBatch:
     """Simulate the directly-modelled post-insurance process (local objective).
 
-    Only the insured loss exists in this model, so ``Z`` is stored equal to
-    ``Zt`` and the gain is ``-Zt``.
+    Only the insured loss exists in this model, so ``Z`` is ``Zt`` (one
+    array) and the gain is ``-Zt``.
     """
-
-    def year_losses(xs, year, n):
-        zt = np.bincount(year, xs, n)
-        return zt, zt
-
-    z, zt = _simulate(
-        aux.aux_rate, aux.aux_severity, horizon_years, n_scenarios, seed, year_losses
+    ((z, zt),) = _simulate(
+        aux.aux_rate, aux.aux_severity, horizon_years, n_scenarios, seed, chunk=n_scenarios
     )
     return ScenarioBatch(
         kind="ILP-aux", param=aux.aux_rate, objective=LOCAL, seed=seed,
@@ -212,68 +212,64 @@ def default_rules(deterministic_years: Sequence[int]) -> list[ComparisonRule]:
     ]
 
 
-def rule_claim_years(
-    batch: ScenarioBatch, table: ValueTable, rule: ComparisonRule
-) -> np.ndarray:
-    """(M, k) claim years selected by a rule on every path of the batch."""
+def _rule_walk(table: ValueTable, rule: ComparisonRule):
+    """The rule as ``walk(w, random_taus)``: its (n, k) claim years on the gain paths ``w``.
+
+    The trigger matrix or the fixed years are formed here, once.  The random
+    rule returns ``random_taus``, the draws every objective of a study shares.
+    """
     k, T = table.k, table.T
-    m = batch.n_scenarios
-    if rule.kind == "optimal":
-        return claim_years(batch.w, thresholds(table))
+    if rule.kind == "random":
+        return lambda w, random_taus: random_taus
     if rule.kind == "deterministic":
         years = np.asarray(rule.years, dtype=int)
         if years.size != k or years[-1] > T or years[0] < 1:
             raise ConfigError(f"deterministic years {rule.years} incompatible with T={T}, k={k}")
-        return np.broadcast_to(years, (m, k))
-    if rule.kind == "random":
-        # the years of each path's k smallest uniforms; argpartition selects
-        # the positions a full argsort puts first.  The one generator is read
-        # a row block at a time, which gives the draws of one (m, T) call.
-        rng = np.random.default_rng(np.random.SeedSequence([batch.seed, _RULE_STREAM_TAG]))
-        taus = np.empty((m, k), dtype=int)
-        for block in _row_blocks(m):
-            picked = np.argpartition(rng.random((block.stop - block.start, T)), k - 1, axis=1)
-            taus[block] = np.sort(picked[:, :k] + 1, axis=1)
-        return taus
-    # average: claim once the gain reaches E[W], and wherever a claim is forced
+        return lambda w, random_taus: np.broadcast_to(years, (len(w), k))
     b = thresholds(table)
-    return claim_years(batch.w, np.where(np.isneginf(b), -np.inf, table.value(1, 1)))
+    if rule.kind == "average":  # claim once the gain reaches E[W], and wherever a claim is forced
+        b = np.where(np.isneginf(b), -np.inf, table.value(1, 1))
+    return lambda w, random_taus: claim_years(w, b)
+
+
+def _random_claim_years(rng: np.random.Generator, n: int, T: int, k: int) -> np.ndarray:
+    """The years of each of ``n`` paths' ``k`` smallest of ``T`` uniforms.
+
+    argpartition selects the positions a full argsort puts first.  Reading
+    the generator on, chunk after chunk, gives the draws of one (n, T) call.
+    """
+    picked = np.argpartition(rng.random((n, T)), k - 1, axis=1)
+    return np.sort(picked[:, :k] + 1, axis=1).astype(np.min_scalar_type(T))
+
+
+def rule_claim_years(
+    batch: ScenarioBatch, table: ValueTable, rule: ComparisonRule
+) -> np.ndarray:
+    """(M, k) claim years selected by a rule on every path of the batch."""
+    if rule.kind == "random":
+        rng = np.random.default_rng(np.random.SeedSequence([batch.seed, _RULE_STREAM_TAG]))
+        return _random_claim_years(rng, batch.n_scenarios, table.T, table.k)
+    return _rule_walk(table, rule)(batch.w, None)
 
 
 def _claimed_sums(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """``panel[i, taus[i] - 1].sum()`` for every path ``i``, a row block at a time."""
-    m, T = panel.shape
-    sums = np.empty(m)
-    for block in _row_blocks(m):
-        rows = panel[block].ravel()
-        offsets = np.arange(0, rows.size, T) - 1
-        sums[block] = rows.take(taus[block] + offsets[:, None]).sum(axis=1)
-    return sums
+    """``panel[i, taus[i] - 1].sum()`` for every path ``i``."""
+    offsets = np.arange(0, panel.size, panel.shape[1]) - 1
+    return panel.ravel().take(taus + offsets[:, None]).sum(axis=1)
 
 
-def _check_claim_years(batch: ScenarioBatch, taus: np.ndarray, k: int | None = None) -> None:
-    """Raise unless ``taus`` holds ``k`` claim years in 1..T for every path of the batch."""
-    m, T = batch.z.shape
-    if np.ndim(taus) != 2 or taus.shape[0] != m or (k is not None and taus.shape[1] != k):
-        raise ConfigError(f"claim years have shape {np.shape(taus)}, need ({m}, {k or 'k'})")
-    if taus.size and (taus.min() < 1 or taus.max() > T):
-        raise ConfigError(f"claim years must lie in 1..{T}")
-
-
-def objective_values(
-    batch: ScenarioBatch, taus: np.ndarray, z_totals: np.ndarray | None = None
-) -> np.ndarray:
+def objective_values(batch: ScenarioBatch, taus: np.ndarray) -> np.ndarray:
     """Per-path realized objective (a loss; smaller is better).
 
     ``taus`` are the (M, k) claim years of the batch's paths, each in 1..T.
-    ``z_totals`` is ``batch.z.sum(axis=1)`` when already formed; the global
-    objective reads it.
     """
-    _check_claim_years(batch, taus)
+    m, T = batch.z.shape
+    if np.ndim(taus) != 2 or taus.shape[0] != m:
+        raise ConfigError(f"claim years have shape {np.shape(taus)}, need ({m}, k)")
+    if taus.size and (taus.min() < 1 or taus.max() > T):
+        raise ConfigError(f"claim years must lie in 1..{T}")
     if batch.objective == GLOBAL:
-        if z_totals is None:
-            z_totals = batch.z.sum(axis=1)
-        return z_totals - _claimed_sums(batch.w, taus)
+        return batch.z.sum(axis=1) - _claimed_sums(batch.w, taus)
     return _claimed_sums(batch.z_tilde, taus)
 
 
@@ -299,8 +295,7 @@ class RuleOutcome:
     mean: float
     stderr: float
     hist_counts: np.ndarray
-    taus: np.ndarray | None
-    values: np.ndarray | None
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -317,12 +312,6 @@ class RuleReport:
                 return out
         raise KeyError(name)
 
-    def without_paths(self) -> RuleReport:
-        """The report without per-path claim years and values (no :meth:`paired_pvalue`)."""
-        return replace(
-            self, outcomes=tuple(replace(out, taus=None, values=None) for out in self.outcomes)
-        )
-
     def paired_pvalue(self, other: str, optimal: str = "optimal") -> float:
         """One-sided p-value that the threshold rule's mean objective is smaller."""
         diff = self.outcome(other).values - self.outcome(optimal).values
@@ -332,55 +321,80 @@ class RuleReport:
         return float(1.0 - ndtr(diff.mean() / se))
 
 
+class _Replay:
+    """The comparison rules replayed under every objective of ``tables``, a chunk at a time.
+
+    The random rule's one generator is read on from chunk to chunk, and the
+    objectives share its years.  Kept per objective: each rule's realized
+    objective on every path, the threshold rule's claim years and, under the
+    global objective, its claimed sums (the price proxy's).
+    """
+
+    def __init__(self, tables: dict, rules: Iterable[ComparisonRule], k: int, n: int, seed: int):
+        self.rules = list(rules)
+        self.k = k
+        self.n = 0
+        self._rng = np.random.default_rng(np.random.SeedSequence([seed, _RULE_STREAM_TAG]))
+        self._walks = {obj: [_rule_walk(t, rule) for rule in self.rules] for obj, t in tables.items()}
+        self.values = {obj: [np.empty(n) for _ in self.rules] for obj in tables}
+        self.taus = {obj: np.empty((n, k), np.min_scalar_type(t.T)) for obj, t in tables.items()}
+        self.claimed = np.empty(n if GLOBAL in tables else 0)
+
+    def add(self, z: np.ndarray, zt: np.ndarray) -> None:
+        """Replay every objective's rules on the next chunk's (Z, Zt) panel."""
+        rows = slice(self.n, self.n + len(z))
+        self.n = rows.stop
+        random_taus = _random_claim_years(self._rng, len(z), z.shape[1], self.k)
+        for objective, walks in self._walks.items():
+            w = _gain(z, zt, objective)
+            z_totals = z.sum(axis=1) if objective == GLOBAL else None
+            for rule, walk, values in zip(self.rules, walks, self.values[objective]):
+                taus = walk(w, random_taus)
+                claimed = _claimed_sums(w if objective == GLOBAL else zt, taus)
+                values[rows] = claimed if z_totals is None else z_totals - claimed
+                if rule.kind == "optimal":
+                    self.taus[objective][rows] = taus
+                    if objective == GLOBAL:
+                        self.claimed[rows] = claimed
+
+    def report(self, objective: Objective, reference_solid: float) -> RuleReport:
+        """Each rule's mean, standard error and histogram on bins all rules share."""
+        values = self.values[objective]
+        # the shared edges depend only on the smallest and the largest value
+        extremes = np.array([(vals.min(), vals.max()) for vals in values])
+        edges = np.histogram_bin_edges(extremes, bins=_HIST_BINS)
+        outcomes = tuple(
+            RuleOutcome(
+                name=rule.kind,
+                mean=float(vals.mean()),
+                stderr=float(vals.std(ddof=1) / math.sqrt(vals.size)),
+                hist_counts=np.histogram(vals, bins=edges)[0],
+                values=vals,
+            )
+            for rule, vals in zip(self.rules, values)
+        )
+        return RuleReport(objective, outcomes, edges, reference_solid, self.n)
+
+
 def compare_rules(
     batch: ScenarioBatch,
     table: ValueTable,
     rules: Iterable[ComparisonRule],
     k: int,
     lda: LDAModel | None = None,
-    random_taus: np.ndarray | None = None,
 ) -> RuleReport:
     """Replay each rule on the batch and histogram the realized objectives.
 
-    ``random_taus`` are the random rule's (M, k) claim years when already
-    drawn.  They depend only on the batch's seed, its shape and ``k``, so the
-    objectives of one study share them.
+    The batch is the one chunk of a study's replay, so a study's report
+    equals this one on the study's whole batch.
     """
     if k != table.k:
         raise ConfigError(f"rule comparison k={k} does not match table k={table.k}")
     if batch.horizon_years != table.T:
         raise ConfigError("batch and value table horizon mismatch")
-    if random_taus is not None:
-        _check_claim_years(batch, random_taus, k)
-    z_totals = batch.z.sum(axis=1) if batch.objective == GLOBAL else None
-    per_rule = []
-    for rule in rules:
-        if rule.kind == "random" and random_taus is not None:
-            taus = random_taus
-        else:
-            taus = rule_claim_years(batch, table, rule)
-        per_rule.append((rule.kind, taus, objective_values(batch, taus, z_totals)))
-    # the shared edges depend only on the smallest and the largest value
-    extremes = np.array([(vals.min(), vals.max()) for _, _, vals in per_rule])
-    edges = np.histogram_bin_edges(extremes, bins=_HIST_BINS)
-    outcomes = tuple(
-        RuleOutcome(
-            name=name,
-            mean=float(vals.mean()),
-            stderr=float(vals.std(ddof=1) / math.sqrt(vals.size)),
-            hist_counts=np.histogram(vals, bins=edges)[0],
-            taus=taus,
-            values=vals,
-        )
-        for name, taus, vals in per_rule
-    )
-    return RuleReport(
-        objective=batch.objective,
-        outcomes=outcomes,
-        hist_edges=edges,
-        reference_solid=reference_lines(table, lda, batch.objective),
-        n_scenarios=batch.n_scenarios,
-    )
+    replay = _Replay({batch.objective: table}, rules, k, batch.n_scenarios, batch.seed)
+    replay.add(batch.z, batch.z_tilde)
+    return replay.report(batch.objective, reference_lines(table, lda, batch.objective))
 
 
 def stopping_time_distribution(
@@ -422,10 +436,7 @@ def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:
         raise ConfigError("price proxy is defined for global-objective batches")
     if k != table.k:
         raise ConfigError(f"k={k} does not match table k={table.k}")
-    return _mean_claimed_gain(batch, rule_claim_years(batch, table, ComparisonRule("optimal")))
-
-
-def _mean_claimed_gain(batch: ScenarioBatch, taus: np.ndarray) -> float:
+    taus = rule_claim_years(batch, table, ComparisonRule("optimal"))
     return float(_claimed_sums(batch.w, taus).mean())
 
 

@@ -31,10 +31,6 @@ from scipy.special import ndtr
 
 from .distributions import NumericalError
 
-# Paths per block of the rule replay (claim years, rule draws, objective
-# sums).  It bounds the replay's temporaries; no result depends on it.
-_REPLAY_ROWS = 4096
-
 
 @runtime_checkable
 class GainModel(Protocol):
@@ -222,31 +218,25 @@ def thresholds(table: ValueTable) -> np.ndarray:
     return np.where(L <= k - i, -np.inf, np.diff(v, axis=1)[:, ::-1])
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """``range(n)`` in consecutive slices of at most ``_REPLAY_ROWS`` rows."""
-    return [slice(lo, min(lo + _REPLAY_ROWS, n)) for lo in range(0, n, _REPLAY_ROWS)]
-
-
 def claim_years(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, k) claim years of the trigger rule ``b`` on the (n, T) gain paths ``w``.
 
     In year ``y`` a path that has used ``u < k`` rights claims iff
     ``w[:, y-1] >= b[T-y, u]`` (ties claim).  ``-inf`` triggers make the
-    forced claims, so every path uses all ``k`` rights.
+    forced claims, so every path uses all ``k`` rights.  The years are of
+    the narrowest unsigned integer type that holds ``T``.
     """
     n, T = w.shape
     k = b.shape[1]
     # a path with no rights left meets a NaN trigger, which no gain reaches
     triggers = np.concatenate([b, np.full((T, 1), np.nan)], axis=1)
-    taus = np.zeros((n, k), dtype=int)
-    for block in _row_blocks(n):
-        gains = np.ascontiguousarray(w[block].T)  # year-major: one contiguous row per year
-        out = taus[block]
-        used = np.zeros(len(out), dtype=np.intp)
-        for year in range(1, T + 1):
-            rows = np.flatnonzero(gains[year - 1] >= triggers[T - year].take(used))
-            out[rows, used[rows]] = year
-            used[rows] += 1
+    gains = np.ascontiguousarray(w.T)  # year-major: one contiguous row per year
+    taus = np.zeros((n, k), dtype=np.min_scalar_type(T))
+    used = np.zeros(n, dtype=np.intp)
+    for year in range(1, T + 1):
+        rows = np.flatnonzero(gains[year - 1] >= triggers[T - year].take(used))
+        taus[rows, used[rows]] = year
+        used[rows] += 1
     return taus
 
 

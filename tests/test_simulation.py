@@ -14,10 +14,22 @@ from multistop.distributions import FrequencyModel, IGParams, _ig_transform
 import multistop.experiments
 from multistop.experiments import EXPERIMENT_PRESETS, preset_config, run_experiment
 from multistop.policies import GLOBAL, LOCAL, ConfigError, ILPAuxModel, LDAModel, PolicySpec
-from multistop.policies import alp_global_model, alp_local_model, lda_from_config
+from multistop.policies import (
+    alp_global_model,
+    alp_local_model,
+    gain_model_from_config,
+    horizon_from_config,
+    lda_from_config,
+    policy_choice,
+    policy_from_config,
+)
 from multistop.simulation import (
     _BLOCK,
+    _CHUNK,
     STREAMS,
+    _policy_chunks,
+    _Replay,
+    _simulate,
     ComparisonRule,
     compare_rules,
     default_rules,
@@ -34,7 +46,6 @@ from multistop.stopping import (
     Decision,
     Horizon,
     StoppingState,
-    claim_years,
     compute_value_table,
     decide,
     thresholds,
@@ -98,7 +109,7 @@ def test_aux_batch_shape_and_signs():
     batch = simulate_aux_local_batch(aux, 8, 600, seed=21)
     assert batch.objective == LOCAL
     assert np.array_equal(batch.w, -batch.z_tilde)
-    assert np.array_equal(batch.z, batch.z_tilde)
+    assert batch.z is batch.z_tilde  # one panel, not a copy
 
 
 @pytest.mark.parametrize("horizon_years, n_scenarios, seed", [(8, 0, 1), (8, -5, 1), (0, 10, 1), (8, 10, -1)])
@@ -235,10 +246,30 @@ def test_report_records_seed_streams_and_version(tmp_path):
 
 @pytest.mark.parametrize("kind, param", [("ALP", 10.0), ("PAP", 4.0), ("ILP", 1.0)])
 def test_shared_panel_equals_fresh_simulation(kind, param):
-    for first, second in ((GLOBAL, LOCAL), (LOCAL, GLOBAL)):
-        batch = simulate_batch(LDA, PolicySpec(kind, param, first), 8, 300, seed=4)
-        fresh = simulate_batch(LDA, PolicySpec(kind, param, second), 8, 300, seed=4)
-        _assert_same_panels(batch.with_objective(second), fresh)
+    # the draws do not depend on the objective, so a study's objectives share each chunk
+    glob = simulate_batch(LDA, PolicySpec(kind, param, GLOBAL), 8, 300, seed=4)
+    local = simulate_batch(LDA, PolicySpec(kind, param, LOCAL), 8, 300, seed=4)
+    assert np.array_equal(glob.z, local.z) and np.array_equal(glob.z_tilde, local.z_tilde)
+    assert np.array_equal(glob.w, local.z - local.z_tilde)
+    assert np.array_equal(local.w, -glob.z_tilde)
+
+
+@pytest.mark.parametrize("kind, param", [("ALP", 10.0), ("PAP", 4.0), ("ILP", 1.0), ("ILP-aux", None)])
+def test_study_chunks_are_the_rows_of_one_batch(kind, param):
+    # whole stream blocks per chunk, the last chunk short
+    n = 2 * _CHUNK + _BLOCK + 5
+    if kind == "ILP-aux":
+        aux = ILPAuxModel(aux_rate=4.0, aux_severity=IGParams(mu=1.0, lam=3.0))
+        batch = simulate_aux_local_batch(aux, 8, n, seed=6)
+        chunks = list(_simulate(aux.aux_rate, aux.aux_severity, 8, n, seed=6))
+        assert all(z is zt for z, zt in chunks)
+    else:
+        policy = PolicySpec(kind, param, GLOBAL)
+        batch = simulate_batch(LDA, policy, 8, n, seed=6)
+        chunks = list(_policy_chunks(LDA, policy, 8, n, seed=6))
+    assert [len(z) for z, _ in chunks] == [_CHUNK, _CHUNK, _BLOCK + 5]
+    assert np.array_equal(np.concatenate([z for z, _ in chunks]), batch.z)
+    assert np.array_equal(np.concatenate([zt for _, zt in chunks]), batch.z_tilde)
 
 
 def test_run_experiment_second_objective_matches_its_own_simulation():
@@ -270,37 +301,35 @@ def test_run_experiment_spreads_default_deterministic_years(T, k, years):
 
 
 def test_run_experiment_draws_the_random_rule_once_per_study(monkeypatch):
-    draws, reports = [], []
-    real_rule, real_compare = multistop.simulation.rule_claim_years, multistop.experiments.compare_rules
+    # once per chunk, from one generator read on, and shared by the objectives
+    draws = []
+    real = multistop.simulation._random_claim_years
 
-    def counting(batch, table, rule):
-        draws.append(rule.kind)
-        return real_rule(batch, table, rule)
+    def keeping(*args):
+        draws.append(real(*args))
+        return draws[-1]
 
-    def keeping(*args, **kwargs):
-        reports.append(real_compare(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(multistop.simulation, "rule_claim_years", counting)
-    monkeypatch.setattr(multistop.experiments, "compare_rules", keeping)
-    run_experiment("alp-study", seed=3, n_scenarios=300)
-    assert draws.count("random") == 1
-    first, second = (rr.outcome("random").taus for rr in reports)
-    assert np.array_equal(first, second)
-    assert np.array_equal(second, reference_random_claim_years(3, 300, 8, 3))
+    monkeypatch.setattr(multistop.simulation, "_random_claim_years", keeping)
+    run_experiment("alp-study", seed=3, n_scenarios=5000)
+    assert [len(taus) for taus in draws] == [_CHUNK, 5000 - _CHUNK]
+    assert np.array_equal(np.concatenate(draws), reference_random_claim_years(3, 5000, 8, 3))
 
 
 def test_run_experiment_walks_the_threshold_rule_once_per_objective(monkeypatch):
+    # once per objective and chunk: the tally and the price proxy reuse its walk
     walks = []
-    real = multistop.simulation.rule_claim_years
+    real = multistop.simulation.claim_years
 
-    def counting(batch, table, rule):
-        walks.append((batch.objective, rule.kind))
-        return real(batch, table, rule)
+    def counting(w, b):
+        walks.append((len(w), b))
+        return real(w, b)
 
-    monkeypatch.setattr(multistop.simulation, "rule_claim_years", counting)
-    report = run_experiment("alp-study", seed=3, n_scenarios=300)
-    assert [obj for obj, kind in walks if kind == "optimal"] == [GLOBAL, LOCAL]
+    monkeypatch.setattr(multistop.simulation, "claim_years", counting)
+    report = run_experiment("alp-study", seed=3, n_scenarios=5000)
+    for model in (alp_global_model(LDA, 10.0), alp_local_model(LDA, 10.0)):
+        b = thresholds(compute_value_table(model, Horizon(T=8, k=3)))
+        assert [n for n, seen in walks if np.array_equal(seen, b)] == [_CHUNK, 5000 - _CHUNK]
+    assert len(walks) == 2 * 2 * 2  # the threshold and average rules, per objective and chunk
     assert "price_proxy" in report["objectives"][GLOBAL]
 
 
@@ -566,74 +595,169 @@ def test_compare_rules_dimension_checks(small_batch, global_table):
         compare_rules(short, global_table, default_rules([1, 5, 8]), 3, lda=LDA)
 
 
-def test_replay_rejects_claim_years_of_the_wrong_shape(small_batch, global_table):
+def test_replay_rejects_claim_years_of_the_wrong_shape(small_batch):
     # a (1, k) array would broadcast one path's years over every path
+    m = small_batch.n_scenarios
     one_row = reference_random_claim_years(5, 1, 8, 3)
-    with pytest.raises(ConfigError, match="shape"):
-        compare_rules(small_batch, global_table, default_rules([1, 5, 8]), 3, lda=LDA, random_taus=one_row)
-    with pytest.raises(ConfigError, match="shape"):
-        objective_values(small_batch, one_row)
-    two_rights = reference_random_claim_years(5, small_batch.n_scenarios, 8, 2)
-    with pytest.raises(ConfigError, match="shape"):
-        compare_rules(small_batch, global_table, default_rules([1, 5, 8]), 3, lda=LDA, random_taus=two_rights)
-    with pytest.raises(ConfigError, match="shape"):
-        objective_values(small_batch, two_rights[:, 0])
+    one_too_many = reference_random_claim_years(5, m + 1, 8, 3)
+    for taus in (one_row, one_too_many, one_too_many[:m, 0]):
+        with pytest.raises(ConfigError, match="shape"):
+            objective_values(small_batch, taus)
 
 
 @pytest.mark.parametrize("year", [0, 9])
-def test_replay_rejects_claim_years_outside_the_horizon(small_batch, global_table, year):
+def test_replay_rejects_claim_years_outside_the_horizon(small_batch, year):
     # year 0 would read the previous path's last year, year T + 1 the next path's first
     taus = reference_random_claim_years(5, small_batch.n_scenarios, 8, 3)
     taus[0, 0 if year == 0 else 2] = year
     with pytest.raises(ConfigError, match="1..8"):
         objective_values(small_batch, taus)
-    with pytest.raises(ConfigError, match="1..8"):
-        compare_rules(small_batch, global_table, default_rules([1, 5, 8]), 3, lda=LDA, random_taus=taus)
 
 
 @pytest.mark.parametrize("objective", [GLOBAL, LOCAL])
-def test_replay_in_small_row_blocks_matches_the_frozen_replay(monkeypatch, objective):
-    # 2,500 paths in blocks of 7 rows, the last one short
+def test_replay_in_small_row_blocks_matches_the_frozen_replay(objective):
+    # 2,500 paths replayed in slices of 7 rows, the last one short
     model = {GLOBAL: alp_global_model, LOCAL: alp_local_model}[objective](LDA, 10.0)
     table = compute_value_table(model, Horizon(T=8, k=3))
     batch = simulate_batch(LDA, PolicySpec("ALP", 10.0, objective), 8, 2500, seed=19)
     rules = default_rules([1, 5, 8])
-    whole = compare_rules(batch, table, rules, 3, lda=LDA)
-    monkeypatch.setattr(multistop.stopping, "_REPLAY_ROWS", 7)
+    replay = _Replay({objective: table}, rules, 3, batch.n_scenarios, batch.seed)
+    for lo in range(0, batch.n_scenarios, 7):
+        replay.add(batch.z[lo : lo + 7], batch.z_tilde[lo : lo + 7])
     b = thresholds(table)
-    assert np.array_equal(claim_years(batch.w, b), reference_claim_years(batch.w, b))
-    random_taus = rule_claim_years(batch, table, ComparisonRule("random"))
-    assert np.array_equal(random_taus, reference_random_claim_years(19, 2500, 8, 3))
+    frozen_taus = {
+        "optimal": reference_claim_years(batch.w, b),
+        "deterministic": np.tile([1, 5, 8], (batch.n_scenarios, 1)),
+        "random": reference_random_claim_years(19, 2500, 8, 3),
+        "average": reference_claim_years(batch.w, np.where(np.isneginf(b), -np.inf, table.value(1, 1))),
+    }
+    assert np.array_equal(replay.taus[objective], frozen_taus["optimal"])
     rows = np.arange(batch.n_scenarios)[:, None]
-    for rule in rules:
-        taus = rule_claim_years(batch, table, rule)
+    for rule, values in zip(rules, replay.values[objective]):
+        taus = frozen_taus[rule.kind]
         if objective == GLOBAL:
             frozen = batch.z.sum(axis=1) - batch.w[rows, taus - 1].sum(axis=1)
         else:
             frozen = batch.z_tilde[rows, taus - 1].sum(axis=1)
-        assert np.array_equal(objective_values(batch, taus), frozen)
-    blocked = compare_rules(batch, table, rules, 3, lda=LDA)
+        assert np.array_equal(values, frozen), rule.kind
+    if objective == GLOBAL:
+        claimed = batch.w[rows, frozen_taus["optimal"] - 1].sum(axis=1)
+        assert np.array_equal(replay.claimed, claimed)
+    sliced = replay.report(objective, reference_lines(table, LDA, objective))
+    whole = compare_rules(batch, table, rules, 3, lda=LDA)
     frozen_edges = np.histogram_bin_edges(
         np.concatenate([out.values for out in whole.outcomes]), bins=len(whole.hist_edges) - 1
     )
-    assert np.array_equal(blocked.hist_edges, frozen_edges)
-    for got, want in zip(blocked.outcomes, whole.outcomes):
+    assert np.array_equal(sliced.hist_edges, frozen_edges)
+    assert np.array_equal(whole.hist_edges, frozen_edges)
+    for got, want in zip(sliced.outcomes, whole.outcomes):
         assert (got.name, got.mean, got.stderr) == (want.name, want.mean, want.stderr)
-        for field in ("hist_counts", "taus", "values"):
+        for field in ("hist_counts", "values"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
-@pytest.mark.parametrize("preset", sorted(EXPERIMENT_PRESETS))
-def test_study_peak_memory_is_its_panel_and_little_else(preset):
-    # the (Z, Zt, W) panel is 24 bytes per scenario-year; the rules' value
-    # vectors and the threshold, random and average rules' claim years add
-    # about 13 at T = 8, k = 3
-    n = 20_000
-    run_experiment(preset, n_scenarios=200)  # first-call caches are not the study's
+@pytest.mark.parametrize("T, dtype", [(8, np.uint8), (300, np.uint16)])
+def test_claim_years_are_of_the_narrowest_type_that_holds_the_horizon(T, dtype):
+    table = compute_value_table(alp_global_model(LDA, 10.0), Horizon(T=T, k=3))
+    batch = simulate_batch(LDA, ALP_GLOBAL, T, 60, seed=2)
+    for kind in ("optimal", "random", "average"):
+        assert rule_claim_years(batch, table, ComparisonRule(kind)).dtype == dtype, kind
+    replay = _Replay({GLOBAL: table}, default_rules([1, 2, T]), 3, batch.n_scenarios, batch.seed)
+    replay.add(batch.z, batch.z_tilde)
+    kept = replay.taus[GLOBAL]
+    assert kept.dtype == dtype
+    assert np.array_equal(kept, reference_claim_years(batch.w, thresholds(table)))
+    assert np.array_equal(
+        rule_claim_years(batch, table, ComparisonRule("random")),
+        reference_random_claim_years(2, 60, T, 3),
+    )
+
+
+def _study_config(preset, **changes):
+    cfg = preset_config(preset)
+    if "horizon" in changes:
+        del cfg["deterministic_years"]
+    return {**cfg, **changes}
+
+
+STUDIES = [
+    *sorted(EXPERIMENT_PRESETS),
+    _study_config("pap-study", name="pap-T12-k5", horizon={"T": 12, "k": 5}),
+]
+
+
+@pytest.mark.parametrize("study", STUDIES, ids=lambda s: s if isinstance(s, str) else s["name"])
+def test_study_in_chunks_equals_the_replay_of_its_whole_batch(monkeypatch, tmp_path, study):
+    # 5,000 scenarios make two chunks, the last one short
+    n, seed = 5000, 3
+    written = {}
+    monkeypatch.setattr(
+        multistop.experiments, "write_outputs", lambda report, reports, out: written.update(reports)
+    )
+    report = run_experiment(study, out_dir=tmp_path, seed=seed, n_scenarios=n)
+    cfg = preset_config(study) if isinstance(study, str) else study
+    horizon = horizon_from_config(cfg)
+    assert list(written) == list(report["objectives"])
+    for objective, (rr, triples) in written.items():
+        run_cfg = {**cfg, "objective": objective}
+        kind, _ = policy_choice(run_cfg)
+        model = gain_model_from_config(run_cfg)
+        table = compute_value_table(model, horizon)
+        if kind == "ILP":
+            lda, batch = None, simulate_aux_local_batch(model.aux, horizon.T, n, seed)
+        else:
+            lda = model.lda
+            batch = simulate_batch(lda, policy_from_config(run_cfg), horizon.T, n, seed)
+        entry = report["objectives"][objective]
+        whole = compare_rules(batch, table, default_rules(entry["deterministic_years"]), horizon.k, lda=lda)
+        assert rr.n_scenarios == whole.n_scenarios == n
+        assert rr.reference_solid == whole.reference_solid
+        assert np.array_equal(rr.hist_edges, whole.hist_edges)
+        for got, want in zip(rr.outcomes, whole.outcomes, strict=True):
+            assert (got.name, got.mean, got.stderr) == (want.name, want.mean, want.stderr)
+            assert entry["rules"][got.name] == {"mean": want.mean, "stderr": want.stderr}
+            assert np.array_equal(got.hist_counts, want.hist_counts)
+        for other in ("deterministic", "random", "average"):
+            assert entry["optimal_beats"][other]["p_value"] == whole.paired_pvalue(other)
+        tally = stopping_time_distribution(batch, table, horizon.k)
+        assert list(triples.items()) == list(tally.items())
+        if objective == GLOBAL:
+            assert entry["price_proxy"] == price_proxy(batch, table, horizon.k)
+        else:
+            assert "price_proxy" not in entry
+    if kind == "ALP":
+        assert report["p_exceed_cap"]["empirical"] == float(np.mean(batch.z > batch.param))
+    else:
+        assert "p_exceed_cap" not in report
+
+
+def _study_peak_per_scenario_year(study, n):
+    """The ``tracemalloc`` peak of ``run_experiment`` in bytes per scenario-year."""
+    run_experiment(study, n_scenarios=200)  # first-call caches are not the study's
     tracemalloc.start()
     try:
-        run_experiment(preset, n_scenarios=n)
+        run_experiment(study, n_scenarios=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * n * preset_config(preset)["horizon"]["T"]
+    cfg = preset_config(study) if isinstance(study, str) else study
+    return peak / (n * cfg["horizon"]["T"])
+
+
+@pytest.mark.parametrize("preset", sorted(EXPERIMENT_PRESETS))
+def test_study_peak_memory_holds_no_panel(preset):
+    # one value vector per rule and objective, the threshold rule's claim
+    # years and the price proxy's sums, beside one chunk's temporaries and
+    # the models; the (Z, Zt, W) panel alone would be 24
+    assert _study_peak_per_scenario_year(preset, 20_000) <= 34
+
+
+@pytest.mark.parametrize("preset", sorted(EXPERIMENT_PRESETS))
+def test_study_peak_memory_per_scenario_year_falls_with_its_size(preset):
+    # the chunk's temporaries and the models are a fixed cost
+    assert _study_peak_per_scenario_year(preset, 100_000) <= 16
+
+
+def test_study_peak_memory_holds_no_panel_at_forty_years():
+    study = _study_config("alp-study", horizon={"T": 40, "k": 12})
+    assert _study_peak_per_scenario_year(study, 20_000) <= 26
