@@ -43,7 +43,7 @@ from .policies import (
     objectives_from_config,
     policy_from_config,
 )
-from .simulation import simulate_batch
+from .simulation import _year_one
 from .stopping import (
     Decision,
     StoppingState,
@@ -206,8 +206,7 @@ def _moments_from_config(cfg: dict) -> expansion.MomentSet:
         n = int(src.get("samples", 200_000))
         seed = int(src.get("seed", 0))
         policy = policy_from_config({**src, "objective": LOCAL})
-        batch = simulate_batch(lda_from_config(src), policy, 1, n, seed)
-        draws = batch.z_tilde[:, 0]
+        draws = -_year_one(lda_from_config(src), policy, n, seed)  # the local gain is -Zt
         if float(np.var(draws)) <= 0:
             raise ConfigError("simulated insured losses are degenerate; cannot fit")
         return expansion.MomentSet.from_sample(draws)

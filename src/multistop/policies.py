@@ -41,7 +41,6 @@ from .distributions import (
     _ig_tails,
     poisson_m_max,
     poisson_sf,
-    sample_ig,
 )
 from .expansion import gamma_local_model
 from .stopping import Horizon, StopLossGain, compute_value_table, lognormal_local_model
@@ -138,7 +137,8 @@ class EmpiricalGainSample:
     def __post_init__(self) -> None:
         if len(self.draws) == 0:
             raise ConfigError("empirical gain sample must be nonempty")
-        if not np.all((self.draws >= 0) & np.isfinite(self.draws)):
+        # a NaN makes the minimum NaN; no mask of the draws is formed
+        if not (np.min(self.draws) >= 0 and np.isfinite(np.max(self.draws))):
             raise ConfigError("gain draws must be finite and nonnegative")
 
 
@@ -571,18 +571,11 @@ def ilp_local_model(aux: ILPAuxModel) -> IlpLocalGain:
 def ilp_global_sample(
     lda: LDAModel, tcl: float, n_draws: int, seed: int
 ) -> EmpiricalGainSample:
-    """Offline sample of the ILP global gain ``W = sum min(X_n, tcl)``."""
-    if not (math.isfinite(tcl) and tcl > 0):
-        raise ConfigError(f"tcl must be positive, got {tcl}")
-    if n_draws < 1:
-        raise ConfigError(f"need at least one draw, got {n_draws}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = rng.poisson(lda.frequency.rate, n_draws)
-    total = int(counts.sum())
-    draws = np.zeros(n_draws)
-    if total > 0:
-        xs = np.minimum(sample_ig(lda.severity, rng, size=total), tcl)
-        np.add.at(draws, np.repeat(np.arange(n_draws), counts), xs)
+    """Offline sample of the ILP global gain ``W = sum min(X_n, tcl)``: year 1 of the T = 1
+    ILP-global batch on the block streams, so a prefix of any larger sample with its seed."""
+    from .simulation import _year_one  # simulation imports this module
+
+    draws = _year_one(lda, PolicySpec("ILP", tcl, GLOBAL), n_draws, seed)
     return EmpiricalGainSample(draws=draws, seed=seed)
 
 
@@ -774,13 +767,8 @@ def gain_model_from_config(cfg: dict):
     if policy.kind != "ILP":
         return _LDA_MODELS[(policy.kind, policy.objective)](lda_from_config(cfg), policy.param)
     mc = _section(cfg, "mc")
-    sample = ilp_global_sample(
-        lda_from_config(cfg),
-        policy.param,
-        n_draws=int(mc.get("samples", 100_000)),
-        seed=int(mc.get("seed", 0)),
-    )
-    return ilp_global_model(sample)
+    n_draws, seed = int(mc.get("samples", 100_000)), int(mc.get("seed", 0))
+    return ilp_global_model(ilp_global_sample(lda_from_config(cfg), policy.param, n_draws, seed))
 
 
 def load_config(path) -> dict:

@@ -160,6 +160,16 @@ def _policy_chunks(lda: LDAModel, policy: PolicySpec, horizon_years, n_scenarios
     )
 
 
+def _year_one(lda: LDAModel, policy: PolicySpec, n_scenarios: int, seed: int) -> np.ndarray:
+    """``simulate_batch(lda, policy, 1, n_scenarios, seed).w[:, 0]``, holding only the gains."""
+    _check_sim_args(1, n_scenarios, seed)
+    w = np.empty(n_scenarios)
+    chunks = _policy_chunks(lda, policy, 1, n_scenarios, seed)
+    for start, (z, zt) in zip(range(0, n_scenarios, _CHUNK), chunks):
+        w[start : start + len(z)] = _gain(z[:, 0], zt[:, 0], policy.objective)
+    return w
+
+
 def simulate_batch(
     lda: LDAModel, policy: PolicySpec, horizon_years: int, n_scenarios: int, seed: int
 ) -> ScenarioBatch:

@@ -113,6 +113,19 @@ def test_value_table_zero_horizon_is_a_config_error(tmp_path, capsys, flag):
     assert not (tmp_path / "table.csv").exists()
 
 
+def test_value_table_ilp_global_rejects_a_negative_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_ILP_GLOBAL, "mc": {"samples": 20_000, "seed": 1}}))
+    argv = ["value-table", "--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path)]
+    code = main(argv)
+    _, err = capsys.readouterr()
+    assert code == 2
+    error = json.loads(err.strip())["error"]
+    assert error["type"] == "config"
+    assert error["message"] == "seed must be non-negative, got -1"
+    assert not (tmp_path / "table.csv").exists()
+
+
 # ---------------------------------------------------------------- advise
 
 
@@ -400,6 +413,26 @@ def test_approx_out_of_region_moments_trigger_refit(tmp_path, capsys):
     assert fit["fit"]["positivity"]["positive"] is False
     assert fit["refit"] is not None
     assert fit["refit"]["fit"]["positivity"]["positive"] is True
+
+
+def test_approx_policy_source_fits_the_insured_losses_of_one_simulated_year(tmp_path, capsys):
+    src = {**_MODEL_BASE, "kind": "policy", "policy": {"kind": "PAP", "param": 4.0}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"source": {**src, "samples": 9_000, "seed": 3}}))
+    code = main(["approx", "--config", str(cfg), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    lda = multistop.lda_from_config(src)
+    policy = multistop.PolicySpec("PAP", 4.0, "local")
+    zt = multistop.simulate_batch(lda, policy, 1, 9_000, 3).z_tilde[:, 0]
+    moments = MomentSet.from_sample(zt)
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    assert fit["moments"] == {
+        "mean": moments.mean,
+        "variance": moments.variance,
+        "mu3_scaled": moments.mu3,
+        "mu4_scaled": moments.mu4,
+    }
 
 
 def test_approx_requires_source_or_moments(tmp_path, capsys):

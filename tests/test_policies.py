@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,11 +34,13 @@ from multistop.expansion import (
     lognormal_raw_moments,
 )
 from multistop.policies import (
+    GLOBAL,
     ConfigError,
     CrossingLaw,
     EmpiricalGainSample,
     ILPAuxModel,
     LDAModel,
+    PolicySpec,
     _crossing_pmf,
     _gauss_legendre,
     alp_global_model,
@@ -53,6 +56,7 @@ from multistop.policies import (
     pap_local_model,
     policy_from_config,
 )
+from multistop.simulation import _BLOCK, simulate_batch
 from multistop.stopping import (
     Horizon,
     StopLossGain,
@@ -385,11 +389,43 @@ def test_ilp_global_sample_respects_caps():
     lda = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
     tcl, seed, n = 1.5, 99, 20_000
     sample = ilp_global_sample(lda, tcl, n, seed)
-    # reproduce the count stream to bound each draw by N * tcl
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = rng.poisson(lda.frequency.rate, n)
+    # reproduce each block's count stream (generator j = 0) to bound each draw by N * tcl
+    counts = np.concatenate([
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK, 0)))
+        .poisson(lda.frequency.rate, (min(_BLOCK, n - lo), 1))[:, 0]
+        for lo in range(0, n, _BLOCK)
+    ])
     assert np.all(sample.draws <= counts * tcl + 1e-12)
     assert np.all(sample.draws >= 0)
+
+
+@pytest.mark.parametrize("n", [1, 9_000])
+def test_ilp_global_sample_is_year_one_of_the_ilp_global_batch(n):
+    # 9,000 draws are three chunks, the last one short
+    sample = ilp_global_sample(ALP_LDA, 1.5, n, 7)
+    batch = simulate_batch(ALP_LDA, PolicySpec("ILP", 1.5, GLOBAL), 1, n, 7)
+    assert np.array_equal(sample.draws, batch.w[:, 0])
+    assert sample.seed == 7
+
+
+def test_ilp_global_sample_is_a_prefix_of_a_larger_sample():
+    small = ilp_global_sample(ALP_LDA, 1.5, 1_025, 3).draws
+    large = ilp_global_sample(ALP_LDA, 1.5, 3_000, 3).draws
+    assert np.array_equal(small, large[:1_025])
+
+
+def test_ilp_global_sample_peak_memory_is_its_draws():
+    # 8 bytes per draw and one chunk's temporaries; holding every loss at
+    # once, as a direct draw of the whole sample does, costs about 139
+    n = 10**6
+    ilp_global_sample(ALP_LDA, 1.5, 1_000, 1)  # first-call caches are not the sample's
+    tracemalloc.start()
+    try:
+        ilp_global_sample(ALP_LDA, 1.5, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 12
 
 
 def test_ilp_global_sample_limits(rng):
