@@ -32,7 +32,6 @@ from .policies import (
 from .simulation import (
     STREAMS,
     _claim_year_tally,
-    _policy_chunks,
     _Replay,
     _simulate,
     default_rules,
@@ -117,7 +116,7 @@ def run_experiment(
         "horizon": {"T": horizon.T, "k": horizon.k},
         "objectives": {},
     }
-    tables, lda, chunks, cap = {}, None, (), None
+    tables = {}
     for given in objectives_from_config(cfg):
         run_cfg = {**cfg, "objective": given}
         kind, objective = policy_choice(run_cfg)
@@ -125,16 +124,13 @@ def run_experiment(
             raise ConfigError("the ILP study runs under the local objective only")
         model = gain_model_from_config(run_cfg)
         tables[objective] = compute_value_table(model, horizon)
-        # one (Z, Zt) panel per study: the objectives share its seed
-        if kind == "ILP":
-            chunks = _simulate(model.aux.aux_rate, model.aux.aux_severity, horizon.T, n_sim, run_seed)
-        else:
-            lda, policy = model.lda, policy_from_config(run_cfg)
-            chunks = _policy_chunks(lda, policy, horizon.T, n_sim, run_seed)
-            cap = policy.param if kind == "ALP" else None
-    replay = _Replay(tables, default_rules(det_years), horizon.k, n_sim, run_seed)
+        # the ILP study simulates its insured process, a law of its own
+        lda, policy = (model.aux.lda, None) if kind == "ILP" else (model.lda, policy_from_config(run_cfg))
+    cap = policy.param if kind == "ALP" else None
+    replay = _Replay(tables, default_rules(det_years), n_sim, run_seed)
     exceeding = 0
-    for z, zt in chunks:
+    # one (Z, Zt) panel per study: the objectives share its seed
+    for z, zt in _simulate(lda, policy, horizon.T, n_sim, run_seed):
         replay.add(z, zt)
         if cap is not None:
             exceeding += int(np.count_nonzero(z > cap))

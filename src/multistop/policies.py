@@ -25,14 +25,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Literal
 
 import numpy as np
 
 from .distributions import (
-    POISSON_TAIL,
     FrequencyModel,
     CompoundIG,
     IGParams,
@@ -56,24 +55,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class LDAModel:
-    """Loss-generating law: Poisson frequency, IG severity, series truncation.
+    """Loss-generating law: Poisson frequency, IG severity.
 
-    ``m_max`` truncates the conditioning sums over the annual loss count; the
-    default drops less than 1e-10 of the count's probability and of its mean.
+    ``m_max = poisson_m_max(frequency)`` truncates the conditioning sums over the
+    annual loss count, dropping less than 1e-10 of its probability and of its mean.
     """
 
     frequency: FrequencyModel
     severity: IGParams
-    m_max: int = 0
+    m_max: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.m_max == 0:
-            object.__setattr__(self, "m_max", poisson_m_max(self.frequency))
-        elif poisson_sf(self.m_max - 1, self.frequency) >= POISSON_TAIL:
-            raise ConfigError(
-                f"m_max={self.m_max} leaves P[N >= m_max] >= {POISSON_TAIL:g} "
-                f"at rate {self.frequency.rate}"
-            )
+        object.__setattr__(self, "m_max", poisson_m_max(self.frequency))
 
     @property
     def mean_annual_loss(self) -> float:
@@ -116,6 +109,11 @@ class ILPAuxModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.aux_rate) and self.aux_rate > 0):
             raise ConfigError(f"aux rate must be positive, got {self.aux_rate}")
+
+    @property
+    def lda(self) -> LDAModel:
+        """The insured process as a loss law."""
+        return LDAModel(FrequencyModel(rate=self.aux_rate), self.aux_severity)
 
 
 @dataclass(frozen=True)
@@ -552,8 +550,7 @@ class IlpLocalGain(StopLossGain):
 
     def __init__(self, aux: ILPAuxModel) -> None:
         self.aux = aux
-        freq = FrequencyModel(rate=aux.aux_rate)
-        self._mix = CompoundIG(freq, aux.aux_severity, poisson_m_max(freq))
+        self._mix = aux.lda.mixture()
         super().__init__(-aux.aux_rate * aux.aux_severity.mu)
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
@@ -695,8 +692,7 @@ def lda_from_config(cfg: dict) -> LDAModel:
         severity = IGParams(mu=float(_require(sev, "mu")), lam=float(_require(sev, "lambda")))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    m_max = int(cfg.get("m_max", 0))
-    return LDAModel(frequency=frequency, severity=severity, m_max=m_max)
+    return LDAModel(frequency=frequency, severity=severity)
 
 
 def policy_choice(cfg: dict) -> tuple[str, str]:
@@ -723,10 +719,13 @@ def horizon_from_config(cfg: dict) -> Horizon:
 
 
 def objectives_from_config(cfg: dict) -> list:
-    """The ``{"objectives": [...]}`` list of a study config."""
+    """The ``{"objectives": [...]}`` list of a study config: each objective once, in any case."""
     objectives = _require(cfg, "objectives")
     if not isinstance(objectives, list):
         raise ConfigError(f"config field 'objectives' must be a JSON list, got {objectives!r}")
+    named = [str(objective).lower() for objective in objectives]
+    if not named or len(set(named)) < len(named):
+        raise ConfigError(f"config field 'objectives' must name each objective once, got {objectives!r}")
     return objectives
 
 

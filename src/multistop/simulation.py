@@ -4,7 +4,9 @@ Scenarios are generated pathwise from the policy definitions (never from the
 closed forms), from block streams fixed by the seed alone, so results are
 bit-reproducible for a given seed.  Each T-year path carries the raw annual
 loss ``Z``, the insured loss ``Zt``, and the objective's gain ``W`` (``-Zt``
-local, ``Z - Zt`` global).
+local, ``Z - Zt`` global).  Every path comes from one kernel entry,
+``_simulate(lda, policy, ...)``: the loss law, and the policy that maps each
+year's losses to ``Zt``, or none where the law already is the insured loss.
 
 Stream contract (``STREAMS``): scenario block ``b`` holds the rows
 ``[1024 b, 1024 b + 1024)`` of a batch with seed ``s`` and draws from three
@@ -99,72 +101,67 @@ def _gain(z: np.ndarray, zt: np.ndarray, objective: Objective) -> np.ndarray:
     return (z - zt) if objective == GLOBAL else -zt
 
 
-def _simulate(rate, severity, horizon_years, n_scenarios, seed, insured=None, chunk=_CHUNK):
-    """The simulation kernel: (Z, Zt) panels of compound-Poisson IG years.
+def _insured(policy: PolicySpec, xs: np.ndarray, year: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The policy's flat ``Zt`` from a block's flat severities ``xs``, the
+    scenario-year index of each (scenario-major, in draw order) and the flat
+    ``Z`` of its years."""
+    kind, param = policy.kind, policy.param
+    if kind == "ALP":
+        return np.maximum(z - param, 0.0)
+    if kind == "ILP":
+        return np.bincount(year, np.maximum(xs - param, 0.0), z.size)
+    # PAP: a year within the attachment keeps Z.  Every other year keeps
+    # the largest running total within it; its losses go down one column
+    # of a zero-padded panel, where the totals rise.
+    over = z > param
+    counts = np.bincount(year, minlength=z.size)
+    pos = np.arange(xs.size) - (np.cumsum(counts) - counts)[year]
+    keep = over[year]
+    panel = np.zeros((counts.max(initial=0), np.count_nonzero(over)))
+    panel[pos[keep], (np.cumsum(over) - 1)[year[keep]]] = xs[keep]
+    totals = np.cumsum(panel, axis=0)
+    zt = z.copy()
+    zt[over] = np.where(totals <= param, totals, 0.0).max(axis=0, initial=0.0)
+    return zt
+
+
+def _simulate(lda: LDAModel, policy: PolicySpec | None, horizon_years, n_scenarios, seed, chunk=_CHUNK):
+    """The simulation kernel: (Z, Zt) panels of the law ``lda``'s years under ``policy``.
 
     Scenarios are drawn in blocks of ``_BLOCK`` from the block streams of the
     module docstring and yielded ``chunk`` rows at a time (a multiple of
-    ``_BLOCK``, or every row).  ``insured(xs, year, z)`` maps the block's flat
-    severities, the scenario-year index of each (scenario-major, in draw
-    order) and the flat ``Z`` of its years to their flat ``Zt``; without it,
-    ``Zt`` is ``Z``, one array.
+    ``_BLOCK``, or every row).  ``Zt`` is the policy's insured loss
+    (``_insured``); with ``policy=None`` the law already is the insured
+    loss, so ``Zt`` is ``Z``, one array.
     """
     _check_sim_args(horizon_years, n_scenarios, seed)
     for start in range(0, n_scenarios, chunk):
         stop = min(start + chunk, n_scenarios)
         z = np.empty((stop - start, horizon_years))
-        zt = z if insured is None else np.empty_like(z)
+        zt = z if policy is None else np.empty_like(z)
         for lo in range(start, stop, _BLOCK):
             hi = min(lo + _BLOCK, stop)
             counts_rng, normal_rng, uniform_rng = (
                 np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK, j)))
                 for j in range(3)
             )
-            counts = counts_rng.poisson(rate, (hi - lo, horizon_years))
+            counts = counts_rng.poisson(lda.frequency.rate, (hi - lo, horizon_years))
             total = int(counts.sum())
-            xs = _ig_transform(severity, normal_rng.standard_normal(total), uniform_rng.random(total))
+            xs = _ig_transform(lda.severity, normal_rng.standard_normal(total), uniform_rng.random(total))
             year = np.repeat(np.arange(counts.size), counts.ravel())
             # bincount adds each year's losses in draw order, starting from 0.0
             z_years = np.bincount(year, xs, counts.size)
             z[lo - start : hi - start] = z_years.reshape(counts.shape)
-            if insured is not None:
-                zt[lo - start : hi - start] = insured(xs, year, z_years).reshape(counts.shape)
+            if policy is not None:
+                zt[lo - start : hi - start] = _insured(policy, xs, year, z_years).reshape(counts.shape)
         yield z, zt
-
-
-def _policy_chunks(lda: LDAModel, policy: PolicySpec, horizon_years, n_scenarios, seed, chunk=_CHUNK):
-    """(Z, Zt) panels straight from the policy definition, ``chunk`` rows at a time."""
-    kind, param = policy.kind, policy.param
-
-    def insured(xs, year, z):
-        if kind == "ALP":
-            return np.maximum(z - param, 0.0)
-        if kind == "ILP":
-            return np.bincount(year, np.maximum(xs - param, 0.0), z.size)
-        # PAP: a year within the attachment keeps Z.  Every other year keeps
-        # the largest running total within it; its losses go down one column
-        # of a zero-padded panel, where the totals rise.
-        over = z > param
-        counts = np.bincount(year, minlength=z.size)
-        pos = np.arange(xs.size) - (np.cumsum(counts) - counts)[year]
-        keep = over[year]
-        panel = np.zeros((counts.max(initial=0), np.count_nonzero(over)))
-        panel[pos[keep], (np.cumsum(over) - 1)[year[keep]]] = xs[keep]
-        totals = np.cumsum(panel, axis=0)
-        zt = z.copy()
-        zt[over] = np.where(totals <= param, totals, 0.0).max(axis=0, initial=0.0)
-        return zt
-
-    return _simulate(
-        lda.frequency.rate, lda.severity, horizon_years, n_scenarios, seed, insured, chunk
-    )
 
 
 def _year_one(lda: LDAModel, policy: PolicySpec, n_scenarios: int, seed: int) -> np.ndarray:
     """``simulate_batch(lda, policy, 1, n_scenarios, seed).w[:, 0]``, holding only the gains."""
     _check_sim_args(1, n_scenarios, seed)
     w = np.empty(n_scenarios)
-    chunks = _policy_chunks(lda, policy, 1, n_scenarios, seed)
+    chunks = _simulate(lda, policy, 1, n_scenarios, seed)
     for start, (z, zt) in zip(range(0, n_scenarios, _CHUNK), chunks):
         w[start : start + len(z)] = _gain(z[:, 0], zt[:, 0], policy.objective)
     return w
@@ -174,7 +171,7 @@ def simulate_batch(
     lda: LDAModel, policy: PolicySpec, horizon_years: int, n_scenarios: int, seed: int
 ) -> ScenarioBatch:
     """Simulate straight from the policy definition on the block streams."""
-    ((z, zt),) = _policy_chunks(lda, policy, horizon_years, n_scenarios, seed, n_scenarios)
+    ((z, zt),) = _simulate(lda, policy, horizon_years, n_scenarios, seed, n_scenarios)
     return ScenarioBatch(
         kind=policy.kind, param=policy.param, objective=policy.objective, seed=seed,
         z=z, z_tilde=zt, w=_gain(z, zt, policy.objective),
@@ -189,9 +186,7 @@ def simulate_aux_local_batch(
     Only the insured loss exists in this model, so ``Z`` is ``Zt`` (one
     array) and the gain is ``-Zt``.
     """
-    ((z, zt),) = _simulate(
-        aux.aux_rate, aux.aux_severity, horizon_years, n_scenarios, seed, chunk=n_scenarios
-    )
+    ((z, zt),) = _simulate(aux.lda, None, horizon_years, n_scenarios, seed, n_scenarios)
     return ScenarioBatch(
         kind="ILP-aux", param=aux.aux_rate, objective=LOCAL, seed=seed,
         z=z, z_tilde=zt, w=-zt,
@@ -322,9 +317,9 @@ class RuleReport:
                 return out
         raise KeyError(name)
 
-    def paired_pvalue(self, other: str, optimal: str = "optimal") -> float:
+    def paired_pvalue(self, other: str) -> float:
         """One-sided p-value that the threshold rule's mean objective is smaller."""
-        diff = self.outcome(other).values - self.outcome(optimal).values
+        diff = self.outcome(other).values - self.outcome("optimal").values
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         if se == 0.0:
             return 0.5 if diff.mean() == 0 else (0.0 if diff.mean() > 0 else 1.0)
@@ -340,9 +335,9 @@ class _Replay:
     global objective, its claimed sums (the price proxy's).
     """
 
-    def __init__(self, tables: dict, rules: Iterable[ComparisonRule], k: int, n: int, seed: int):
+    def __init__(self, tables: dict, rules: Iterable[ComparisonRule], n: int, seed: int):
         self.rules = list(rules)
-        self.k = k
+        self.k = k = next(iter(tables.values())).k  # the tables share one horizon
         self.n = 0
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, _RULE_STREAM_TAG]))
         self._walks = {obj: [_rule_walk(t, rule) for rule in self.rules] for obj, t in tables.items()}
@@ -402,7 +397,7 @@ def compare_rules(
         raise ConfigError(f"rule comparison k={k} does not match table k={table.k}")
     if batch.horizon_years != table.T:
         raise ConfigError("batch and value table horizon mismatch")
-    replay = _Replay({batch.objective: table}, rules, k, batch.n_scenarios, batch.seed)
+    replay = _Replay({batch.objective: table}, rules, batch.n_scenarios, batch.seed)
     replay.add(batch.z, batch.z_tilde)
     return replay.report(batch.objective, reference_lines(table, lda, batch.objective))
 

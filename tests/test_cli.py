@@ -349,6 +349,46 @@ def test_experiment_config_needs_an_objectives_list(tmp_path, capsys, cfg):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("objectives", [[], ["global", "GLOBAL"]], ids=["empty", "twice"])
+def test_experiment_config_needs_distinct_objectives(tmp_path, capsys, objectives):
+    study = {
+        "frequency": {"rate": 3.0},
+        "severity": {"mu": 2.0, "lambda": 3.0},
+        "policy": {"kind": "ALP", "param": 10.0},
+        "objectives": objectives,
+        "horizon": {"T": 8, "k": 3},
+        "mc": {"samples": 100, "seed": 7},
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(study))
+    code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    _, err = capsys.readouterr()
+    assert code == 2
+    error = json.loads(err.strip())["error"]
+    assert error["type"] == "config" and "objectives" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_runs_an_aux_config_study(tmp_path, capsys):
+    # a custom ILP study: the insured process of its aux block is the simulated law
+    study = {
+        "name": "aux-study",
+        "policy": {"kind": "ILP", "param": 1.0},
+        "aux": {"rate": 2.5, "mu": 1.5, "lambda": 2.0},
+        "objectives": ["local"],
+        "horizon": {"T": 10, "k": 4},
+        "mc": {"samples": 3000, "seed": 9},
+    }
+    path = tmp_path / "aux.json"
+    path.write_text(json.dumps(study))
+    code = main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert list(report["objectives"]) == ["local"] and "p_exceed_cap" not in report
+    assert report == multistop.run_experiment(study)
+
+
 def test_experiment_unknown_preset_errors(capsys):
     code = main(["experiment", "--preset", "nope"])
     out, err = capsys.readouterr()

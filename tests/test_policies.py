@@ -17,11 +17,15 @@ from mc_oracles import (
     pap_paths,
 )
 from multistop.distributions import (
+    POISSON_TAIL,
+    CompoundIG,
     FrequencyModel,
     IGParams,
     _ig_pdf,
     ig_cdf,
     ig_sum_params,
+    poisson_m_max,
+    poisson_sf,
     sample_ig,
 )
 from multistop.expansion import (
@@ -33,6 +37,7 @@ from multistop.expansion import (
     gamma_local_model,
     lognormal_raw_moments,
 )
+from multistop.experiments import preset_config
 from multistop.policies import (
     GLOBAL,
     ConfigError,
@@ -372,6 +377,32 @@ def test_ilp_local_mean_is_negative_compound_mean():
     model = ilp_local_model(AUX)
     assert model.mean_gain == -4.0
     assert model.expected_max(0.0, -math.inf) == -4.0
+
+
+class _HandBuiltIlpLocal(StopLossGain):
+    """ILP-local with the aux law's count mixture built by hand, as it once was."""
+
+    def __init__(self, aux):
+        freq = FrequencyModel(rate=aux.aux_rate)
+        self._mix = CompoundIG(freq, aux.aux_severity, poisson_m_max(freq))
+        super().__init__(-aux.aux_rate * aux.aux_severity.mu)
+
+    def stop_loss(self, delta):
+        d = -delta
+        dd = d[:, None]
+        mix = self._mix
+        at_d = mix.tails(dd)
+        return np.sum(mix.pm * (dd * at_d.cdf - at_d.lower_mean), axis=1) + d * mix.p0
+
+
+@pytest.mark.parametrize("T, k", [(8, 3), (40, 12)])
+def test_ilp_local_table_equals_the_hand_built_mixture(T, k):
+    # the ilp-study preset's aux law, as an LDAModel, gives the same mixture bit for bit
+    aux = aux_from_config(preset_config("ilp-study"))
+    horizon = Horizon(T=T, k=k)
+    got = compute_value_table(ilp_local_model(aux), horizon).values
+    want = compute_value_table(_HandBuiltIlpLocal(aux), horizon).values
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_ilp_local_expected_max_matches_mc(rng):
@@ -1065,7 +1096,19 @@ def test_config_errors(mutate):
 
 
 def test_lda_truncation_validation():
-    with pytest.raises(ConfigError):
+    # the truncation is derived, not given: the smallest count from the floor
+    # rate + 10 sqrt(rate) on whose tail P[N >= m_max] falls below POISSON_TAIL;
+    # the tail binds at the two small rates, the floor at the others
+    for rate in (1e-3, 0.5, 3.0, 40.0, 400.0):
+        freq = FrequencyModel(rate=rate)
+        lda = LDAModel(freq, IGParams(mu=2.0, lam=3.0))
+        floor = math.ceil(rate + 10 * math.sqrt(rate))
+        assert lda.m_max == poisson_m_max(freq) >= floor
+        assert poisson_sf(lda.m_max - 1, freq) < POISSON_TAIL
+        assert lda.m_max == floor or poisson_sf(lda.m_max - 2, freq) >= POISSON_TAIL
+        assert lda.mixture().pm.size == lda.m_max
+        # a config's m_max is not read
+        cfg = {"frequency": {"rate": rate}, "severity": {"mu": 2.0, "lambda": 3.0}, "m_max": 5}
+        assert lda_from_config(cfg) == lda
+    with pytest.raises(TypeError):
         LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0), m_max=5)
-    lda = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
-    assert lda.m_max >= 3 + 10 * math.sqrt(3)

@@ -27,7 +27,6 @@ from multistop.simulation import (
     _BLOCK,
     _CHUNK,
     STREAMS,
-    _policy_chunks,
     _Replay,
     _simulate,
     ComparisonRule,
@@ -261,12 +260,12 @@ def test_study_chunks_are_the_rows_of_one_batch(kind, param):
     if kind == "ILP-aux":
         aux = ILPAuxModel(aux_rate=4.0, aux_severity=IGParams(mu=1.0, lam=3.0))
         batch = simulate_aux_local_batch(aux, 8, n, seed=6)
-        chunks = list(_simulate(aux.aux_rate, aux.aux_severity, 8, n, seed=6))
+        chunks = list(_simulate(aux.lda, None, 8, n, seed=6))
         assert all(z is zt for z, zt in chunks)
     else:
         policy = PolicySpec(kind, param, GLOBAL)
         batch = simulate_batch(LDA, policy, 8, n, seed=6)
-        chunks = list(_policy_chunks(LDA, policy, 8, n, seed=6))
+        chunks = list(_simulate(LDA, policy, 8, n, seed=6))
     assert [len(z) for z, _ in chunks] == [_CHUNK, _CHUNK, _BLOCK + 5]
     assert np.array_equal(np.concatenate([z for z, _ in chunks]), batch.z)
     assert np.array_equal(np.concatenate([zt for _, zt in chunks]), batch.z_tilde)
@@ -342,6 +341,34 @@ def test_run_experiment_accepts_a_lowercase_policy_kind(preset):
     recased["objectives"] = [objective.upper() for objective in upper["objectives"]]
     expected = run_experiment(upper, seed=5, n_scenarios=200)
     assert json.dumps(run_experiment(recased, seed=5, n_scenarios=200)) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("objectives", [[], ["global", "GLOBAL"], ["local", "global", "local"]])
+def test_run_experiment_needs_distinct_objectives(objectives):
+    cfg = {**preset_config("alp-study"), "objectives": objectives}
+    with pytest.raises(ConfigError, match="objectives"):
+        run_experiment(cfg, seed=5, n_scenarios=200)
+
+
+@pytest.mark.parametrize("preset", sorted(EXPERIMENT_PRESETS))
+def test_run_experiment_simulates_once_per_study(monkeypatch, preset):
+    calls = []
+    real = multistop.experiments._simulate
+
+    def counting(lda, policy, *args):
+        calls.append((lda, policy))
+        return real(lda, policy, *args)
+
+    monkeypatch.setattr(multistop.experiments, "_simulate", counting)
+    run_experiment(preset, seed=5, n_scenarios=200)
+    ((lda, policy),) = calls
+    cfg = preset_config(preset)
+    if preset == "ilp-study":
+        assert policy is None and lda == multistop.policies.aux_from_config(cfg).lda
+    else:
+        assert lda == lda_from_config(cfg) and (policy.kind, policy.param) == (
+            cfg["policy"]["kind"], cfg["policy"]["param"],
+        )
 
 
 def test_run_experiment_without_a_horizon_is_a_config_error():
@@ -621,7 +648,7 @@ def test_replay_in_small_row_blocks_matches_the_frozen_replay(objective):
     table = compute_value_table(model, Horizon(T=8, k=3))
     batch = simulate_batch(LDA, PolicySpec("ALP", 10.0, objective), 8, 2500, seed=19)
     rules = default_rules([1, 5, 8])
-    replay = _Replay({objective: table}, rules, 3, batch.n_scenarios, batch.seed)
+    replay = _Replay({objective: table}, rules, batch.n_scenarios, batch.seed)
     for lo in range(0, batch.n_scenarios, 7):
         replay.add(batch.z[lo : lo + 7], batch.z_tilde[lo : lo + 7])
     b = thresholds(table)
@@ -662,7 +689,7 @@ def test_claim_years_are_of_the_narrowest_type_that_holds_the_horizon(T, dtype):
     batch = simulate_batch(LDA, ALP_GLOBAL, T, 60, seed=2)
     for kind in ("optimal", "random", "average"):
         assert rule_claim_years(batch, table, ComparisonRule(kind)).dtype == dtype, kind
-    replay = _Replay({GLOBAL: table}, default_rules([1, 2, T]), 3, batch.n_scenarios, batch.seed)
+    replay = _Replay({GLOBAL: table}, default_rules([1, 2, T]), batch.n_scenarios, batch.seed)
     replay.add(batch.z, batch.z_tilde)
     kept = replay.taus[GLOBAL]
     assert kept.dtype == dtype
