@@ -22,7 +22,9 @@ GIG(+1/2) CDF ``G`` (the lower partial mean is ``E[S; S <= y] = M G``) are
 
 The kernel returns all four from one shared evaluation, each in the form
 that keeps a small value to full relative precision, so survival values and
-upper partial means are never taken as ``1 -`` a rounded CDF.
+upper partial means are never taken as ``1 -`` a rounded CDF.  A caller that
+reads only ``(F, G)`` or ``(1 - F, 1 - G)`` takes ``_ig_lower`` or
+``_ig_upper``, which form just that pair, with the same bits.
 """
 
 from __future__ import annotations
@@ -112,15 +114,32 @@ def _ig_tails(x, mu, lam):
     tail far below 1e-16 keeps its relative precision.  ``x <= 0`` gives
     ``(0, 1, 0, 1)`` and ``x = inf`` ``(1, 0, 1, 0)``, exactly.
     """
+    return _tails(x, mu, lam, _all_four)
+
+
+def _ig_lower(x, mu, lam):
+    """``F`` and ``G`` of :func:`_ig_tails`, bit for bit, and only those."""
+    return _tails(x, mu, lam, _lower)
+
+
+def _ig_upper(x, mu, lam):
+    """``1 - F`` and ``1 - G`` of :func:`_ig_tails`, bit for bit, and only those."""
+    return _tails(x, mu, lam, _upper)
+
+
+def _tails(x, mu, lam, finish):
+    # the outputs ``finish`` forms from the shared terms of _ig_terms; at
+    # x <= 0 and x = inf it takes their limits, Phi(-|a|) = e = 0 with the
+    # sign of a that of x, which give the ends exactly
     x, mu, lam = (np.asarray(v, dtype=float) for v in (x, mu, lam))
     inside = (x > 0) & (x < np.inf)
     if inside.all():
-        return _ig_tails_inside(x, mu, lam)
+        return finish(*_ig_terms(x, mu, lam))
     x, mu, lam, inside = np.broadcast_arrays(x, mu, lam, inside)
-    cdf = (x == np.inf).astype(float)
-    tails = (cdf, 1.0 - cdf, cdf.copy(), 1.0 - cdf)
+    zero = np.zeros(x.shape)
+    tails = finish(x == np.inf, zero, zero, zero, np.ones(x.shape))
     if inside.any():
-        for out, val in zip(tails, _ig_tails_inside(x[inside], mu[inside], lam[inside])):
+        for out, val in zip(tails, finish(*_ig_terms(x[inside], mu[inside], lam[inside]))):
             out[inside] = val
     return tails
 
@@ -128,7 +147,9 @@ def _ig_tails(x, mu, lam):
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _ig_tails_inside(x, mu, lam):
+def _ig_terms(x, mu, lam):
+    """The shared terms of the four tails inside (0, inf): the sign mask
+    ``a >= 0``, ``Phi(-|a|)``, ``e``, ``Phi(-|a|) - e`` and ``1 - Phi(-|a|)``."""
     s = np.sqrt(lam) / np.sqrt(x)  # split to survive subnormal x
     r = x / mu
     a = s * (r - 1.0)
@@ -139,12 +160,23 @@ def _ig_tails_inside(x, mu, lam):
     small = g * ca  # Phi(-|a|)
     e = g * cb
     gap = np.maximum(g * (ca - cb), 0.0)  # Phi(-|a|) - e: erfcx falls and b > |a|
-    large = 1.0 - small
-    up = a >= 0.0
+    return a >= 0.0, small, e, gap, 1.0 - small
+
+
+def _lower(up, small, e, gap, large):
     cdf = np.minimum(np.where(up, large, small) + e, 1.0)
-    sf = np.where(up, gap, large - e)
     gig = np.where(up, large - e, gap)
+    return cdf, gig
+
+
+def _upper(up, small, e, gap, large):
+    sf = np.where(up, gap, large - e)
     gig_sf = np.minimum(np.where(up, small, large) + e, 1.0)
+    return sf, gig_sf
+
+
+def _all_four(*terms):
+    (cdf, gig), (sf, gig_sf) = _lower(*terms), _upper(*terms)
     return cdf, sf, gig, gig_sf
 
 
@@ -267,6 +299,18 @@ class CompoundIG:
         from one evaluation of the closed form: ``E[S_m; S_m <= x] = m mu G``."""
         cdf, sf, gig, gig_sf = _ig_tails(x, self.m_mu, self.beta)
         return IGSumTails(cdf, sf, self.m_mu * gig, self.m_mu * gig_sf)
+
+    def lower(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``F_{S_m}(x)`` and ``E[S_m; S_m <= x]`` alone: ``cdf`` and
+        ``lower_mean`` of :meth:`tails`, bit for bit."""
+        cdf, gig = _ig_lower(x, self.m_mu, self.beta)
+        return cdf, self.m_mu * gig
+
+    def upper(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``1 - F_{S_m}(x)`` and ``E[S_m; S_m > x]`` alone: ``sf`` and
+        ``upper_mean`` of :meth:`tails`, bit for bit."""
+        sf, gig_sf = _ig_upper(x, self.m_mu, self.beta)
+        return sf, self.m_mu * gig_sf
 
 
 def sample_ig(params: IGParams, rng: np.random.Generator, size=None):

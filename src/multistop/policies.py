@@ -38,6 +38,7 @@ from .distributions import (
     _ig_cdf,
     _ig_pdf,
     _ig_tails,
+    _ig_upper,
     poisson_m_max,
     poisson_sf,
 )
@@ -189,8 +190,8 @@ class AlpLocalGain(StopLossGain):
         # upper tail, so the band is taken as a difference of survivals.
         y = (self.cap - delta)[:, None]
         mix, at_cap = self._mix, self._at_cap
-        at_y = mix.tails(y)
-        body = y * (at_cap.sf - at_y.sf) - (at_cap.upper_mean - at_y.upper_mean)
+        sf_y, upper_mean_y = mix.upper(y)
+        body = y * (at_cap.sf - sf_y) - (at_cap.upper_mean - upper_mean_y)
         return np.sum(mix.pm * body, axis=1) - delta * self.weights.c0
 
 
@@ -215,11 +216,11 @@ class AlpGlobalGain(StopLossGain):
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         mix, at_cap = self._mix, self._at_cap
         d = delta[:, None]
-        at_d = mix.tails(d)
+        cdf_d, lower_mean_d = mix.lower(d)
         body = (
             (self.cap - d) * at_cap.sf
-            + (at_cap.lower_mean - at_d.lower_mean)
-            - d * (at_cap.cdf - at_d.cdf)
+            + (at_cap.lower_mean - lower_mean_d)
+            - d * (at_cap.cdf - cdf_d)
         )
         # the gain never exceeds the cap
         return np.where(delta >= self.cap, 0.0, np.sum(mix.pm * body, axis=1))
@@ -340,8 +341,8 @@ class PapLocalGain(StopLossGain):
         d = -delta
         dd = d[:, None]
         mix = self._mix
-        at_below = mix.tails(np.minimum(dd, self.attachment))
-        never = np.sum(mix.pm * (dd * at_below.cdf - at_below.lower_mean), axis=1)
+        cdf, lower_mean = mix.lower(np.minimum(dd, self.attachment))
+        never = np.sum(mix.pm * (dd * cdf - lower_mean), axis=1)
         cross = np.sum(np.maximum(dd - self._nodes, 0.0) * self._g, axis=1)
         return never + cross + d * self._atom
 
@@ -497,7 +498,7 @@ class PapGlobalGain(StopLossGain):
             y_top = max(float(y[blk].max()), 0.0)
             k = min(math.ceil(y_top / mu + _PAP_BAND * math.sqrt(y_top / lam)) - 1, rr.size)
             if k > 0:
-                _, fs_bar, _, fh_bar = _ig_tails(y[blk], mu_r[:k], lam_r[:k])
+                fs_bar, fh_bar = _ig_upper(y[blk], mu_r[:k], lam_r[:k])
                 sl[:k, blk] = mu_r[:k] * fh_bar - y[blk] * fs_bar
         n_static = y.size - x_new.size
         sl[:, :n_static] *= self._hx[:, static]
@@ -557,8 +558,8 @@ class IlpLocalGain(StopLossGain):
         d = -delta
         dd = d[:, None]
         mix = self._mix
-        at_d = mix.tails(dd)
-        return np.sum(mix.pm * (dd * at_d.cdf - at_d.lower_mean), axis=1) + d * mix.p0
+        cdf, lower_mean = mix.lower(dd)
+        return np.sum(mix.pm * (dd * cdf - lower_mean), axis=1) + d * mix.p0
 
 
 def ilp_local_model(aux: ILPAuxModel) -> IlpLocalGain:

@@ -10,11 +10,14 @@ from scipy.special import ndtr
 from scipy.stats import kstest
 
 from multistop.distributions import (
+    CompoundIG,
     FrequencyModel,
     IGParams,
     _ig_cdf,
+    _ig_lower,
     _ig_pdf,
     _ig_tails,
+    _ig_upper,
     ig_cdf,
     ig_partial_expectation,
     ig_pdf,
@@ -163,6 +166,36 @@ def test_ig_tails_are_complementary_and_exact_at_the_ends(mu):
     # (a GIG(alpha, beta, +1/2) caller recovers mu as sqrt(beta / alpha), which may round)
     view = _ig_tails(TAIL_XS[:, None], np.sqrt(TAIL_SHAPES / (TAIL_SHAPES / mu**2)), TAIL_SHAPES)[2]
     assert np.allclose(view, gig, rtol=1e-13, atol=1e-15)
+
+
+# the grid with negative x, a negative zero, and subnormal x besides 5e-324
+SPLIT_XS = np.concatenate(([-np.inf, -1.0, -5e-324, -0.0, 1e-310], TAIL_XS))
+
+
+@pytest.mark.parametrize("mu", TAIL_MEANS)
+def test_two_output_kernels_equal_the_four_output_kernel(mu):
+    # _ig_lower and _ig_upper form only (F, G) and (1 - F, 1 - G), bit for
+    # bit those of _ig_tails, at x <= 0 and x = inf too, and with no warning.
+    # Underflow is left out of the raise: x / mu underflows at subnormal x in
+    # every kernel, and numpy ignores underflow by default
+    mix = CompoundIG(FrequencyModel(rate=3.0), IGParams(mu=mu, lam=1.0), 12)
+    inside = TAIL_XS[1:-1]
+    with np.errstate(all="raise", under="ignore"):
+        for x, m, lam in (
+            (SPLIT_XS[:, None], mu, TAIL_SHAPES),  # some x outside (0, inf)
+            (inside[:, None], mu, TAIL_SHAPES),  # every x inside
+            (inside, np.arange(1, 9)[:, None] * mu, TAIL_SHAPES[:, None]),  # counts by row
+            (SPLIT_XS[7], mu, TAIL_SHAPES[3]),  # scalars
+            (SPLIT_XS[0], mu, TAIL_SHAPES[3]),
+        ):
+            cdf, sf, gig, gig_sf = _ig_tails(x, m, lam)
+            lower, upper = _ig_lower(x, m, lam), _ig_upper(x, m, lam)
+            for got, want in zip((*lower, *upper), (cdf, gig, sf, gig_sf)):
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        for x in (SPLIT_XS[:, None], inside[:, None], 2.5):
+            tails = mix.tails(x)
+            assert all(map(np.array_equal, mix.lower(x), (tails.cdf, tails.lower_mean)))
+            assert all(map(np.array_equal, mix.upper(x), (tails.sf, tails.upper_mean)))
 
 
 # (lam, x) inputs beyond the grid: at mu = 0.01, lam = 10 (x = 0.01 is on the

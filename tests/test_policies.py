@@ -276,6 +276,7 @@ def test_pap_global_mean_antitone_in_attachment():
 PAP_GLOBAL_REFERENCE_CASES = {
     "preset": ((3.0, 1.0, 1.0, 4.0), 128, 1e-12),
     "skewed": ((1.0, 10.0, 1.0, 100.0), 512, 1e-10),
+    "rate-2": ((2.0, 1.5, 1.0, 3.0), 128, 1e-12),
 }
 
 
