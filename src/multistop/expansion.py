@@ -444,18 +444,34 @@ def constrained_refit(moments: MomentSet) -> RefitResult:
     if not flags.any():
         raise ValueError("no admissible boundary segment found; widen the scan")
 
-    # bisect toward each scan neighbour outside the admissible run; both ends
-    # advance together, one midpoint each per call
+    # bisect toward each scan neighbour outside the admissible run, 40 steps
+    # in 10 calls: both ends advance together, and each call judges the 15
+    # midpoints the next four steps could visit (a point's verdict does not
+    # depend on the others in its call), which are then walked as bisection
+    # would walk them
     i, j = np.flatnonzero(flags)[[0, -1]]
     u_ok = us[[i, j]]
     u_bad = us[[max(i - 1, 0), min(j + 1, len(us) - 1)]]
     ends = np.flatnonzero([i > 0, j < len(us) - 1])
     if ends.size:
-        for _ in range(40):
-            mid = 0.5 * (u_ok[ends] + u_bad[ends])
-            ok = _curve_admissible(a, mid, u_hi)
-            u_ok[ends[ok]] = mid[ok]
-            u_bad[ends[~ok]] = mid[~ok]
+        rows = np.arange(ends.size)
+        for _ in range(10):
+            # a level-order tree: node n bisects its (ok, bad) pair, and its
+            # children 2n + 1 and 2n + 2 follow an admissible and a failed n
+            oks, bads, mids = u_ok[ends, None], u_bad[ends, None], []
+            for _ in range(4):
+                mid = 0.5 * (oks + bads)
+                mids.append(mid)
+                oks = np.stack([mid, oks], axis=2).reshape(ends.size, -1)
+                bads = np.stack([bads, mid], axis=2).reshape(ends.size, -1)
+            mids = np.concatenate(mids, axis=1)
+            verdicts = _curve_admissible(a, mids.ravel(), u_hi).reshape(mids.shape)
+            node = np.zeros(ends.size, dtype=int)
+            for _ in range(4):
+                mid, ok = mids[rows, node], verdicts[rows, node]
+                u_ok[ends[ok]] = mid[ok]
+                u_bad[ends[~ok]] = mid[~ok]
+                node = 2 * node + 2 - ok
     lo, hi = float(u_ok[0]), float(u_ok[1])
 
     seg_u = np.linspace(lo, hi, 2 * _REFIT_SCAN)

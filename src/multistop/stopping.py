@@ -63,8 +63,8 @@ class StopLossGain:
 
     * ``c2 = -inf`` (a forced claim) gives ``c1 + E[W]``;
     * the value recursion only asks for ``c2 <= c1 <= 0`` (local) or
-      ``0 <= c1 <= c2`` (global); other thresholds, in any element, raise
-      ``ValueError``;
+      ``0 <= c1 <= c2 < inf`` (global); other thresholds, in any element,
+      raise ``ValueError``, and so does a NaN in either;
     * on the trivial side the stop-loss term is exact: 0 for a local gain
       with ``delta >= 0``, ``E[W] - delta`` for a global gain with
       ``delta <= 0``;
@@ -87,30 +87,37 @@ class StopLossGain:
     def expected_max(self, c1, c2):
         scalar = np.ndim(c1) == 0 and np.ndim(c2) == 0
         c1, c2 = np.atleast_1d(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float))
-        c1, c2 = np.broadcast_arrays(c1, c2)
+        if c1.shape != c2.shape:
+            c1, c2 = np.broadcast_arrays(c1, c2)
         mean = self.mean_gain
         forced = c2 == -math.inf
-        delta = np.where(forced, 0.0, c2 - c1)
+        # NaN fails every comparison, and c2 = inf fails the global test
         if self.local:
-            regime, bad, side = "c2 <= c1 <= 0", (c1 > 0) | (c2 > c1), delta < 0
-            excess = np.zeros(delta.shape)
+            regime, ok = "c2 <= c1 <= 0", (c2 <= c1) & (c1 <= 0)
         else:
-            regime, bad, side = "0 <= c1 <= c2", (c1 < 0) | (c2 < c1), delta > 0
-            excess = mean - delta
-        bad &= ~forced
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
+            regime, ok = "0 <= c1 <= c2", (0 <= c1) & (c1 <= c2) & (c2 < math.inf)
+        ok |= forced
+        # count_nonzero is one C call, cheaper on a row than .all() and .any()
+        if np.count_nonzero(ok) < ok.size:
+            i = np.flatnonzero(~ok)[0]
             objective = "local" if self.local else "global"
             raise ValueError(
                 f"{objective}-objective model needs {regime}, got ({c1.flat[i]}, {c2.flat[i]})"
             )
-        if side.any():
+        delta = c2 - c1
+        delta[forced] = 0.0
+        side = delta < 0 if self.local else delta > 0
+        excess = np.zeros(delta.shape) if self.local else mean - delta
+        if np.count_nonzero(side):
             excess[side] = self.stop_loss(delta[side])
-        out = np.minimum(
-            np.maximum(np.maximum(c2 + excess, c1 + mean), c2),
-            np.maximum(c1, c2) + max(mean, 0.0),
-        )
-        out = np.where(forced, c1 + mean, out)
+        out = np.add(c2, excess, out=excess)
+        floor = c1 + mean
+        np.maximum(out, floor, out=out)
+        np.maximum(out, c2, out=out)
+        cap = np.maximum(c1, c2)
+        cap += max(mean, 0.0)
+        np.minimum(out, cap, out=out)
+        np.copyto(out, floor, where=forced)
         return float(out[0]) if scalar else out
 
 

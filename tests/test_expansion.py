@@ -18,6 +18,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln
 
+from multistop import expansion
 from multistop.expansion import (
     POSITIVITY_TOL,
     ExpansionFit,
@@ -518,6 +519,21 @@ def test_constrained_refit_keeps_the_grid_scan_projection(
     assert refit.u_at_projection == u_proj
     assert refit.moments.mu3.hex() == mu3_hex
     assert refit.moments.mu4.hex() == mu4_hex
+
+
+def test_constrained_refit_bisects_four_levels_per_call(monkeypatch):
+    sizes = []
+    judge = expansion._curve_admissible
+
+    def counted(a, u, u_max):
+        sizes.append(u.size)
+        return judge(a, u, u_max)
+
+    monkeypatch.setattr(expansion, "_curve_admissible", counted)
+    constrained_refit(MomentSet.from_loss_moments(3.0, 4.0, 30.0, 400.0))
+    # 11 calls: the scan, then 40 bisection steps in 10 calls of 15 midpoints
+    # for the one end of the admissible run that is open here
+    assert sizes == [expansion._REFIT_SCAN] + [15] * 10
 
 
 @settings(max_examples=40)

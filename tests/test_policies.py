@@ -74,7 +74,7 @@ from pap_inner_reference import ReferencePapInner as FrozenPapInner
 from pap_law_reference import ReferencePapGlobal as FrozenPapGlobal
 from pap_law_reference import ReferencePapLocal as FrozenPapLocal
 from quad_oracle import crossing_pmf_quadrature
-from table_reference import reference_value_table
+from table_reference import reference_expected_max, reference_value_table
 
 ALP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
 PAP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=1.0, lam=1.0))
@@ -741,6 +741,82 @@ def test_expected_max_array_call_equals_scalar_calls(local):
         model.expected_max(np.append(c1, s * 1.0), np.append(c2, s * 0.5))
     with pytest.raises(ValueError):
         model.expected_max(np.append(c1, -s * 1.0), np.append(c2, -s * 1.0))
+
+
+def _assert_expected_max_equals_frozen(model, c1, c2):
+    live, frozen = model.expected_max(c1, c2), reference_expected_max(model, c1, c2)
+    if np.ndim(c1) == 0 and np.ndim(c2) == 0:
+        assert type(live) is float and type(frozen) is float
+        assert live.hex() == frozen.hex()
+    else:
+        assert live.shape == frozen.shape and live.dtype == frozen.dtype
+        assert np.array_equal(live, frozen)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+def test_expected_max_equals_the_frozen_one_on_every_table_row(name):
+    make, (T, k) = TABLE_MODELS[name]
+    model = make()
+    v = compute_value_table(model, Horizon(T=T, k=k)).values
+    for L in range(1, T + 1):  # the rows compute_value_table asks for; L = 1 is empty
+        n = min(L - 1, k)
+        c1 = v[L - 1, :n].copy()
+        c1[:1] = 0.0
+        c2 = v[L - 1, 1 : n + 1]
+        _assert_expected_max_equals_frozen(model, c1, c2)
+        if n:
+            _assert_expected_max_equals_frozen(model, float(c1[-1]), float(c2[-1]))
+
+
+@pytest.mark.parametrize("local", [True, False], ids=["alp-local", "alp-global"])
+def test_expected_max_equals_the_frozen_one_on_mixed_rows(local):
+    model = alp_local_model(ALP_LDA, 10.0) if local else alp_global_model(ALP_LDA, 10.0)
+    s = -1.0 if local else 1.0
+    # forced claims, delta = 0 ties (the trivial side inside the regime), the
+    # stop-loss side and, for the global model, delta beyond the cap
+    c1 = s * np.array([0.5, 0.0, 1.5, 0.0, 0.7, 2.0, 0.0, 1.0, 3.0, 3.0])
+    c2 = s * np.array([math.inf, 0.0, 1.5, 0.3, 2.5, 6.0, 12.0, 30.0, math.inf, 3.0])
+    c2[np.isinf(c2)] = -math.inf  # forced claims
+    trivial = [0, 1, 2, 8, 9]  # no cell on the stop-loss side
+    rows = [(c1, c2), (c1[trivial], c2[trivial]), (c1[:8].reshape(2, 4), c2[:8].reshape(2, 4))]
+    rows += [(np.empty(0), np.empty(0)), (c1[1:2], c2[1:2])]
+    rows += [(0.0, s * np.array([0.0, 0.4, 2.0, 9.0])), (c1[:4], -math.inf)]  # broadcast
+    for a, b in rows:
+        _assert_expected_max_equals_frozen(model, a, b)
+    for a, b in zip(c1.tolist(), c2.tolist()):
+        _assert_expected_max_equals_frozen(model, a, b)
+    # finite thresholds outside the regime: the same error from both
+    for a, b in [(s * 1.0, s * 0.5), (-s * 1.0, -s * 1.0), (-s * 0.5, s * 2.0)]:
+        for c1_bad, c2_bad in [(a, b), (np.append(c1, a), np.append(c2, b))]:
+            with pytest.raises(ValueError) as live:
+                model.expected_max(c1_bad, c2_bad)
+            with pytest.raises(ValueError) as frozen:
+                reference_expected_max(model, c1_bad, c2_bad)
+            assert str(live.value) == str(frozen.value)
+
+
+@pytest.mark.parametrize("form", ["scalar", "array"])
+@pytest.mark.parametrize(
+    "local, c1, c2",
+    [
+        (True, math.nan, -1.0),
+        (True, -1.0, math.nan),
+        (True, math.inf, math.inf),
+        (False, 1.0, math.nan),
+        (False, math.nan, 1.0),
+        (False, 0.0, math.inf),
+        (False, math.inf, math.inf),
+    ],
+    ids=["local-nan-c1", "local-nan-c2", "local-inf", "global-nan-c2", "global-nan-c1",
+         "global-inf-c2", "global-inf"],
+)
+def test_expected_max_rejects_nan_and_infinite_thresholds(local, c1, c2, form):
+    model = alp_local_model(ALP_LDA, 10.0) if local else alp_global_model(ALP_LDA, 10.0)
+    if form == "array":  # behind a valid cell and a forced one
+        s = -1.0 if local else 1.0
+        c1, c2 = np.array([0.0, s, c1]), np.array([s * 2.0, -math.inf, c2])
+    with pytest.raises(ValueError, match="objective model needs"):
+        model.expected_max(c1, c2)
 
 
 def _log_uniform(lo: float, hi: float):
