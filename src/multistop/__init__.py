@@ -66,7 +66,6 @@ from .simulation import (
     exceedance_probability,
     price_proxy,
     reference_lines,
-    rule_claim_years,
     simulate_aux_local_batch,
     simulate_batch,
     stopping_time_distribution,

@@ -247,35 +247,10 @@ def _random_claim_years(rng: np.random.Generator, n: int, T: int, k: int) -> np.
     return np.sort(picked[:, :k] + 1, axis=1).astype(np.min_scalar_type(T))
 
 
-def rule_claim_years(
-    batch: ScenarioBatch, table: ValueTable, rule: ComparisonRule
-) -> np.ndarray:
-    """(M, k) claim years selected by a rule on every path of the batch."""
-    if rule.kind == "random":
-        rng = np.random.default_rng(np.random.SeedSequence([batch.seed, _RULE_STREAM_TAG]))
-        return _random_claim_years(rng, batch.n_scenarios, table.T, table.k)
-    return _rule_walk(table, rule)(batch.w, None)
-
-
 def _claimed_sums(panel: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """``panel[i, taus[i] - 1].sum()`` for every path ``i``."""
     offsets = np.arange(0, panel.size, panel.shape[1]) - 1
     return panel.ravel().take(taus + offsets[:, None]).sum(axis=1)
-
-
-def objective_values(batch: ScenarioBatch, taus: np.ndarray) -> np.ndarray:
-    """Per-path realized objective (a loss; smaller is better).
-
-    ``taus`` are the (M, k) claim years of the batch's paths, each in 1..T.
-    """
-    m, T = batch.z.shape
-    if np.ndim(taus) != 2 or taus.shape[0] != m:
-        raise ConfigError(f"claim years have shape {np.shape(taus)}, need ({m}, k)")
-    if taus.size and (taus.min() < 1 or taus.max() > T):
-        raise ConfigError(f"claim years must lie in 1..{T}")
-    if batch.objective == GLOBAL:
-        return batch.z.sum(axis=1) - _claimed_sums(batch.w, taus)
-    return _claimed_sums(batch.z_tilde, taus)
 
 
 def reference_lines(
@@ -381,6 +356,14 @@ class _Replay:
         return RuleReport(objective, outcomes, edges, reference_solid, self.n)
 
 
+def _check_reading(batch: ScenarioBatch, table: ValueTable, k: int) -> None:
+    """A batch is read against a table of its own horizon and ``k`` rights."""
+    if (k, batch.horizon_years) != (table.k, table.T):
+        raise ConfigError(
+            f"batch T={batch.horizon_years} and k={k} do not match table T={table.T}, k={table.k}"
+        )
+
+
 def compare_rules(
     batch: ScenarioBatch,
     table: ValueTable,
@@ -393,10 +376,7 @@ def compare_rules(
     The batch is the one chunk of a study's replay, so a study's report
     equals this one on the study's whole batch.
     """
-    if k != table.k:
-        raise ConfigError(f"rule comparison k={k} does not match table k={table.k}")
-    if batch.horizon_years != table.T:
-        raise ConfigError("batch and value table horizon mismatch")
+    _check_reading(batch, table, k)
     replay = _Replay({batch.objective: table}, rules, batch.n_scenarios, batch.seed)
     replay.add(batch.z, batch.z_tilde)
     return replay.report(batch.objective, reference_lines(table, lda, batch.objective))
@@ -406,9 +386,8 @@ def stopping_time_distribution(
     batch: ScenarioBatch, table: ValueTable, k: int
 ) -> dict[tuple[int, ...], int]:
     """Empirical counts of claim-year k-tuples under the threshold rule."""
-    if k != table.k:
-        raise ConfigError(f"k={k} does not match table k={table.k}")
-    return _claim_year_tally(rule_claim_years(batch, table, ComparisonRule("optimal")))
+    _check_reading(batch, table, k)
+    return _claim_year_tally(claim_years(batch.w, thresholds(table)))
 
 
 def _claim_year_tally(taus: np.ndarray) -> dict[tuple[int, ...], int]:
@@ -439,10 +418,8 @@ def price_proxy(batch: ScenarioBatch, table: ValueTable, k: int) -> float:
     expected saving, a price proxy for the product (global objective only)."""
     if batch.objective != GLOBAL:
         raise ConfigError("price proxy is defined for global-objective batches")
-    if k != table.k:
-        raise ConfigError(f"k={k} does not match table k={table.k}")
-    taus = rule_claim_years(batch, table, ComparisonRule("optimal"))
-    return float(_claimed_sums(batch.w, taus).mean())
+    _check_reading(batch, table, k)
+    return float(_claimed_sums(batch.w, claim_years(batch.w, thresholds(table))).mean())
 
 
 def exceedance_probability(lda: LDAModel, cap: float) -> float:

@@ -63,8 +63,9 @@ class StopLossGain:
 
     * ``c2 = -inf`` (a forced claim) gives ``c1 + E[W]``;
     * the value recursion only asks for ``c2 <= c1 <= 0`` (local) or
-      ``0 <= c1 <= c2 < inf`` (global); other thresholds, in any element,
-      raise ``ValueError``, and so does a NaN in either;
+      ``0 <= c1 <= c2 < inf`` (global), or for a forced claim with a finite
+      ``c1`` on that side of 0; other thresholds, in any element, raise
+      ``ValueError``, and so does a NaN in either;
     * on the trivial side the stop-loss term is exact: 0 for a local gain
       with ``delta >= 0``, ``E[W] - delta`` for a global gain with
       ``delta <= 0``;
@@ -91,12 +92,14 @@ class StopLossGain:
             c1, c2 = np.broadcast_arrays(c1, c2)
         mean = self.mean_gain
         forced = c2 == -math.inf
-        # NaN fails every comparison, and c2 = inf fails the global test
+        cap = np.maximum(c1, c2)  # NaN where either is
+        # NaN fails every comparison, and c2 = inf fails the global test; a
+        # forced cell passes only with a finite c1 on the regime's side
         if self.local:
-            regime, ok = "c2 <= c1 <= 0", (c2 <= c1) & (c1 <= 0)
+            regime, ok = "c2 <= c1 <= 0", (c2 <= c1) & (c1 <= 0) & (c1 > -math.inf)
         else:
-            regime, ok = "0 <= c1 <= c2", (0 <= c1) & (c1 <= c2) & (c2 < math.inf)
-        ok |= forced
+            regime, ok = "0 <= c1 <= c2", (0 <= c1) & (cap < math.inf)
+            ok &= (c1 <= c2) | forced
         # count_nonzero is one C call, cheaper on a row than .all() and .any()
         if np.count_nonzero(ok) < ok.size:
             i = np.flatnonzero(~ok)[0]
@@ -114,7 +117,6 @@ class StopLossGain:
         floor = c1 + mean
         np.maximum(out, floor, out=out)
         np.maximum(out, c2, out=out)
-        cap = np.maximum(c1, c2)
         cap += max(mean, 0.0)
         np.minimum(out, cap, out=out)
         np.copyto(out, floor, where=forced)

@@ -806,9 +806,18 @@ def test_expected_max_equals_the_frozen_one_on_mixed_rows(local):
         (False, math.nan, 1.0),
         (False, 0.0, math.inf),
         (False, math.inf, math.inf),
+        # a forced claim needs a finite c1 on the regime's side too
+        (True, math.nan, -math.inf),
+        (False, math.nan, -math.inf),
+        (True, -math.inf, -math.inf),
+        (False, math.inf, -math.inf),
+        (True, 1.0, -math.inf),
+        (False, -1.0, -math.inf),
     ],
     ids=["local-nan-c1", "local-nan-c2", "local-inf", "global-nan-c2", "global-nan-c1",
-         "global-inf-c2", "global-inf"],
+         "global-inf-c2", "global-inf", "local-forced-nan-c1", "global-forced-nan-c1",
+         "local-forced-inf-c1", "global-forced-inf-c1", "local-forced-positive-c1",
+         "global-forced-negative-c1"],
 )
 def test_expected_max_rejects_nan_and_infinite_thresholds(local, c1, c2, form):
     model = alp_local_model(ALP_LDA, 10.0) if local else alp_global_model(ALP_LDA, 10.0)

@@ -28,15 +28,15 @@ from multistop.simulation import (
     _CHUNK,
     STREAMS,
     _Replay,
+    _random_claim_years,
+    _rule_walk,
     _simulate,
     ComparisonRule,
     compare_rules,
     default_rules,
     exceedance_probability,
-    objective_values,
     price_proxy,
     reference_lines,
-    rule_claim_years,
     simulate_aux_local_batch,
     simulate_batch,
     stopping_time_distribution,
@@ -45,6 +45,7 @@ from multistop.stopping import (
     Decision,
     Horizon,
     StoppingState,
+    claim_years,
     compute_value_table,
     decide,
     thresholds,
@@ -398,9 +399,16 @@ def test_run_experiment_without_mc_settings_is_a_config_error(drop, given):
 # ---------------------------------------------------------------- rules
 
 
+def _replay_random_years(batch, table):
+    """The random rule's years on the batch: the first draws of a study replay's generator."""
+    replay = _Replay({batch.objective: table}, [], batch.n_scenarios, batch.seed)
+    return _random_claim_years(replay._rng, batch.n_scenarios, table.T, table.k)
+
+
 def test_every_rule_claims_exactly_k(small_batch, global_table):
+    random_taus = _replay_random_years(small_batch, global_table)
     for rule in default_rules([1, 5, 8]):
-        taus = rule_claim_years(small_batch, global_table, rule)
+        taus = _rule_walk(global_table, rule)(small_batch.w, random_taus)
         assert taus.shape == (small_batch.n_scenarios, 3)
         assert np.all(taus[:, 0] >= 1) and np.all(taus[:, 2] <= 8)
         assert np.all(np.diff(taus, axis=1) >= 1)
@@ -409,15 +417,13 @@ def test_every_rule_claims_exactly_k(small_batch, global_table):
 
 
 def test_deterministic_rule_uses_fixed_years(small_batch, global_table):
-    taus = rule_claim_years(
-        small_batch, global_table, ComparisonRule("deterministic", (1, 5, 8))
-    )
+    taus = _rule_walk(global_table, ComparisonRule("deterministic", (1, 5, 8)))(small_batch.w, None)
     assert np.all(taus == np.array([1, 5, 8]))
 
 
 def test_random_rule_is_uniform_over_triples(global_table):
     batch = simulate_batch(LDA, ALP_GLOBAL, 8, 56 * 250, seed=5)
-    taus = rule_claim_years(batch, global_table, ComparisonRule("random"))
+    taus = _replay_random_years(batch, global_table)
     keys = [tuple(row) for row in taus]
     from itertools import combinations
 
@@ -433,12 +439,12 @@ def test_random_rule_keeps_its_years(T, k):
     table = compute_value_table(alp_global_model(LDA, 10.0), Horizon(T=T, k=k))
     for seed in (0, 1, 5, 77, 2**40 + 3):
         batch = simulate_batch(LDA, ALP_GLOBAL, T, 300, seed=seed)
-        taus = rule_claim_years(batch, table, ComparisonRule("random"))
+        taus = _replay_random_years(batch, table)
         assert np.array_equal(taus, reference_random_claim_years(seed, 300, T, k))
 
 
 def test_average_rule_matches_manual_walk(small_batch, global_table):
-    taus = rule_claim_years(small_batch, global_table, ComparisonRule("average"))
+    taus = _rule_walk(global_table, ComparisonRule("average"))(small_batch.w, None)
     ew = global_table.value(1, 1)
     w = small_batch.w
     for row in range(50):
@@ -474,7 +480,7 @@ def test_optimal_rule_matches_online_decisions(objective, T, k, n):
     table = compute_value_table(model, Horizon(T=T, k=k))
     policy = PolicySpec(kind="ALP", param=10.0, objective=objective)
     batch = simulate_batch(LDA, policy, T, n, seed=41)
-    taus = rule_claim_years(batch, table, ComparisonRule("optimal"))
+    taus = _rule_walk(table, ComparisonRule("optimal"))(batch.w, None)
     for row in range(n):
         assert list(taus[row]) == _scalar_optimal_walk(batch.w[row], table)
 
@@ -485,21 +491,29 @@ def test_rules_validation(small_batch, global_table):
     with pytest.raises(ConfigError):
         ComparisonRule("bogus")
     with pytest.raises(ConfigError):
-        rule_claim_years(small_batch, global_table, ComparisonRule("deterministic", (1, 2)))
+        _rule_walk(global_table, ComparisonRule("deterministic", (1, 2)))
 
 
 # ---------------------------------------------------------------- reports
 
 
 def test_objective_accounting_identity(small_batch, global_table):
-    for rule in default_rules([1, 5, 8]):
-        taus = rule_claim_years(small_batch, global_table, rule)
-        vals = objective_values(small_batch, taus)
-        rows = np.arange(small_batch.n_scenarios)[:, None]
-        claimed = small_batch.w[rows, taus - 1].sum(axis=1)
-        np.testing.assert_allclose(
-            vals + claimed, small_batch.z.sum(axis=1), rtol=0, atol=1e-9
-        )
+    # each rule's realized objective plus its claimed gains is the total loss
+    # (global) or nothing (local), under both objectives of one replay
+    local_table = compute_value_table(alp_local_model(LDA, 10.0), Horizon(T=8, k=3))
+    tables = {GLOBAL: global_table, LOCAL: local_table}
+    rules = default_rules([1, 5, 8])
+    replay = _Replay(tables, rules, small_batch.n_scenarios, small_batch.seed)
+    replay.add(small_batch.z, small_batch.z_tilde)
+    random_taus = _replay_random_years(small_batch, global_table)
+    rows = np.arange(small_batch.n_scenarios)[:, None]
+    for objective, table in tables.items():
+        w = small_batch.w if objective == GLOBAL else -small_batch.z_tilde
+        total = small_batch.z.sum(axis=1) if objective == GLOBAL else 0.0
+        for rule, vals in zip(rules, replay.values[objective]):
+            taus = _rule_walk(table, rule)(w, random_taus)
+            claimed = w[rows, taus - 1].sum(axis=1)
+            np.testing.assert_allclose(vals + claimed, total, rtol=0, atol=1e-9)
 
 
 def test_reference_lines_values(global_table):
@@ -538,7 +552,7 @@ def test_stopping_time_distribution_support(small_batch, global_table):
 
 
 def test_stopping_time_distribution_matches_row_loop(small_batch, global_table):
-    taus = rule_claim_years(small_batch, global_table, ComparisonRule("optimal"))
+    taus = claim_years(small_batch.w, thresholds(global_table))
     expected: dict = {}
     for row in taus:
         key = tuple(int(t) for t in row)
@@ -568,13 +582,14 @@ def _repeated_long_rows():
     ],
     ids=["repeated", "k1", "one-scenario", "T40-k12"],
 )
-def test_stopping_time_distribution_matches_unique_tally(monkeypatch, small_batch, T, taus):
+def test_stopping_time_distribution_matches_unique_tally(monkeypatch, T, taus):
     # the claim years are fixed, so only the tally is under test
-    monkeypatch.setattr(multistop.simulation, "rule_claim_years", lambda *args: taus)
+    monkeypatch.setattr(multistop.simulation, "claim_years", lambda *args: taus)
     table = compute_value_table(alp_global_model(LDA, 10.0), Horizon(T=T, k=taus.shape[1]))
+    batch = simulate_batch(LDA, ALP_GLOBAL, T, len(taus), seed=77)
     keys, counts = np.unique(taus, axis=0, return_counts=True)
     expected = {tuple(key): count for key, count in zip(keys.tolist(), counts.tolist())}
-    dist = stopping_time_distribution(small_batch, table, taus.shape[1])
+    dist = stopping_time_distribution(batch, table, taus.shape[1])
     assert list(dist.items()) == list(expected.items())
     assert all(type(t) is int for key in dist for t in key)
     assert all(type(c) is int for c in dist.values())
@@ -585,7 +600,7 @@ def test_price_proxy_nonnegative_and_consistent(global_table):
     proxy = price_proxy(batch, global_table, 3)
     assert proxy >= 0.0
     # claimed-gain mean equals the game value within MC noise
-    taus = rule_claim_years(batch, global_table, ComparisonRule("optimal"))
+    taus = claim_years(batch.w, thresholds(global_table))
     rows = np.arange(batch.n_scenarios)[:, None]
     claimed = batch.w[rows, taus - 1].sum(axis=1)
     se = claimed.std(ddof=1) / math.sqrt(claimed.size)
@@ -615,30 +630,17 @@ def test_exceedance_probability_keeps_the_far_tail(cap):
 
 
 def test_compare_rules_dimension_checks(small_batch, global_table):
-    with pytest.raises(ConfigError):
-        compare_rules(small_batch, global_table, default_rules([1, 5, 8]), 2, lda=LDA)
-    short = simulate_batch(LDA, ALP_GLOBAL, 7, 50, seed=1)
-    with pytest.raises(ConfigError):
-        compare_rules(short, global_table, default_rules([1, 5, 8]), 3, lda=LDA)
-
-
-def test_replay_rejects_claim_years_of_the_wrong_shape(small_batch):
-    # a (1, k) array would broadcast one path's years over every path
-    m = small_batch.n_scenarios
-    one_row = reference_random_claim_years(5, 1, 8, 3)
-    one_too_many = reference_random_claim_years(5, m + 1, 8, 3)
-    for taus in (one_row, one_too_many, one_too_many[:m, 0]):
-        with pytest.raises(ConfigError, match="shape"):
-            objective_values(small_batch, taus)
-
-
-@pytest.mark.parametrize("year", [0, 9])
-def test_replay_rejects_claim_years_outside_the_horizon(small_batch, year):
-    # year 0 would read the previous path's last year, year T + 1 the next path's first
-    taus = reference_random_claim_years(5, small_batch.n_scenarios, 8, 3)
-    taus[0, 0 if year == 0 else 2] = year
-    with pytest.raises(ConfigError, match="1..8"):
-        objective_values(small_batch, taus)
+    # the three readings of a batch share one check of k and of the horizon
+    readings = [
+        lambda batch, k: compare_rules(batch, global_table, default_rules([1, 5, 8]), k, lda=LDA),
+        lambda batch, k: stopping_time_distribution(batch, global_table, k),
+        lambda batch, k: price_proxy(batch, global_table, k),
+    ]
+    short, long = (simulate_batch(LDA, ALP_GLOBAL, T, 50, seed=1) for T in (7, 9))
+    for read in readings:
+        for batch, k in [(small_batch, 2), (short, 3), (long, 3)]:
+            with pytest.raises(ConfigError, match="do not match table T=8, k=3"):
+                read(batch, k)
 
 
 @pytest.mark.parametrize("objective", [GLOBAL, LOCAL])
@@ -687,17 +689,15 @@ def test_replay_in_small_row_blocks_matches_the_frozen_replay(objective):
 def test_claim_years_are_of_the_narrowest_type_that_holds_the_horizon(T, dtype):
     table = compute_value_table(alp_global_model(LDA, 10.0), Horizon(T=T, k=3))
     batch = simulate_batch(LDA, ALP_GLOBAL, T, 60, seed=2)
+    random_taus = _replay_random_years(batch, table)
     for kind in ("optimal", "random", "average"):
-        assert rule_claim_years(batch, table, ComparisonRule(kind)).dtype == dtype, kind
+        assert _rule_walk(table, ComparisonRule(kind))(batch.w, random_taus).dtype == dtype, kind
     replay = _Replay({GLOBAL: table}, default_rules([1, 2, T]), batch.n_scenarios, batch.seed)
     replay.add(batch.z, batch.z_tilde)
     kept = replay.taus[GLOBAL]
     assert kept.dtype == dtype
     assert np.array_equal(kept, reference_claim_years(batch.w, thresholds(table)))
-    assert np.array_equal(
-        rule_claim_years(batch, table, ComparisonRule("random")),
-        reference_random_claim_years(2, 60, T, 3),
-    )
+    assert np.array_equal(random_taus, reference_random_claim_years(2, 60, T, 3))
 
 
 def _study_config(preset, **changes):
