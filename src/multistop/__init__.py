@@ -10,6 +10,7 @@ harness for rule-comparison studies.
 __version__ = "0.1.0"
 
 from .distributions import (
+    ConfigError,
     FrequencyModel,
     IGParams,
     NumericalError,
@@ -38,10 +39,7 @@ from .expansion import (
 )
 from .experiments import EXPERIMENT_PRESETS, preset_config, run_experiment
 from .policies import (
-    GLOBAL,
-    LOCAL,
     ALPWeights,
-    ConfigError,
     EmpiricalGainSample,
     ILPAuxModel,
     LDAModel,
@@ -71,6 +69,8 @@ from .simulation import (
     stopping_time_distribution,
 )
 from .stopping import (
+    GLOBAL,
+    LOCAL,
     Decision,
     GainModel,
     Horizon,

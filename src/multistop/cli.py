@@ -28,12 +28,9 @@ from copy import deepcopy
 import numpy as np
 
 from . import expansion
-from .distributions import NumericalError
+from .distributions import ConfigError, NumericalError
 from .experiments import preset_config, run_experiment
 from .policies import (
-    GLOBAL,
-    LOCAL,
-    ConfigError,
     _require,
     _section,
     gain_model_from_config,
@@ -45,6 +42,8 @@ from .policies import (
 )
 from .simulation import _year_one
 from .stopping import (
+    GLOBAL,
+    LOCAL,
     Decision,
     StoppingState,
     ValueTable,

@@ -42,6 +42,10 @@ class NumericalError(RuntimeError):
     recursion, or a consistency check did not hold."""
 
 
+class ConfigError(ValueError):
+    """Invalid model/policy configuration."""
+
+
 @dataclass(frozen=True)
 class IGParams:
     """Inverse Gaussian parameters: ``mu`` is the mean, ``lam`` the shape."""

@@ -382,8 +382,7 @@ class ExpansionLocalGain(StopLossGain):
         return -delta - _expected_min(self.fit, 0.0, -delta)
 
 
-def expansion_local_gain_model(fit: ExpansionFit) -> ExpansionLocalGain:
-    return ExpansionLocalGain(fit)
+expansion_local_gain_model = ExpansionLocalGain
 
 
 class GammaLocalGain(StopLossGain):
@@ -404,8 +403,7 @@ class GammaLocalGain(StopLossGain):
         return d * gammainc(self.shape, x) - partial
 
 
-def gamma_local_model(shape: float, rate: float) -> GammaLocalGain:
-    return GammaLocalGain(shape, rate)
+gamma_local_model = GammaLocalGain
 
 
 @dataclass(frozen=True)

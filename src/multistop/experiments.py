@@ -18,10 +18,8 @@ from copy import deepcopy
 import numpy as np
 
 from . import __version__
+from .distributions import ConfigError
 from .policies import (
-    GLOBAL,
-    LOCAL,
-    ConfigError,
     _require,
     gain_model_from_config,
     horizon_from_config,
@@ -38,7 +36,7 @@ from .simulation import (
     exceedance_probability,
     reference_lines,
 )
-from .stopping import compute_value_table
+from .stopping import GLOBAL, LOCAL, compute_value_table
 
 # The aggregate-cap study uses the larger scenario count; the attachment and
 # per-loss-cap studies run at the smaller one.  The attachment level of the

@@ -32,6 +32,7 @@ from typing import Literal
 import numpy as np
 
 from .distributions import (
+    ConfigError,
     FrequencyModel,
     CompoundIG,
     IGParams,
@@ -43,15 +44,16 @@ from .distributions import (
     poisson_sf,
 )
 from .expansion import gamma_local_model
-from .stopping import Horizon, StopLossGain, compute_value_table, lognormal_local_model
-
-Objective = Literal["local", "global"]
-LOCAL: Objective = "local"
-GLOBAL: Objective = "global"
-
-
-class ConfigError(ValueError):
-    """Invalid model/policy configuration."""
+from .simulation import _year_one
+from .stopping import (
+    GLOBAL,
+    LOCAL,
+    Horizon,
+    Objective,
+    StopLossGain,
+    compute_value_table,
+    lognormal_local_model,
+)
 
 
 @dataclass(frozen=True)
@@ -150,12 +152,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _leggauss(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    t, w = _gauss_legendre(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (t + 1.0), half * w
-
-
 # ---------------------------------------------------------------------------
 # Accumulated Loss Policy
 # ---------------------------------------------------------------------------
@@ -226,12 +222,8 @@ class AlpGlobalGain(StopLossGain):
         return np.where(delta >= self.cap, 0.0, np.sum(mix.pm * body, axis=1))
 
 
-def alp_local_model(lda: LDAModel, cap: float) -> AlpLocalGain:
-    return AlpLocalGain(lda, cap)
-
-
-def alp_global_model(lda: LDAModel, cap: float) -> AlpGlobalGain:
-    return AlpGlobalGain(lda, cap)
+alp_local_model = AlpLocalGain
+alp_global_model = AlpGlobalGain
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +295,9 @@ class CrossingLaw:
         mix = self.mix = lda.mixture()
         self.at_att = mix.tails(attachment)
         self.never = float(np.sum(mix.pm * self.at_att.cdf))
-        self.s, self.w = _leggauss(n, 0.0, attachment)
+        t, w = _gauss_legendre(n)
+        half = 0.5 * attachment
+        self.s, self.w = half * (t + 1.0), half * w
         self.dens = _ig_pdf(self.s, mix.m_mu[:-1, None], mix.beta[:-1, None])
         self.gaps = np.append(attachment - self.s, attachment)
         self.f, self.sf, _, self.gig_sf = _ig_tails(self.gaps, lda.severity.mu, lda.severity.lam)
@@ -528,12 +522,8 @@ class PapGlobalGain(StopLossGain):
         return self._gap_terms(delta) + inner + delta * (self.prob_zero_gain - 1.0)
 
 
-def pap_local_model(lda: LDAModel, attachment: float) -> PapLocalGain:
-    return PapLocalGain(lda, attachment)
-
-
-def pap_global_model(lda: LDAModel, attachment: float) -> PapGlobalGain:
-    return PapGlobalGain(lda, attachment)
+pap_local_model = PapLocalGain
+pap_global_model = PapGlobalGain
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +552,7 @@ class IlpLocalGain(StopLossGain):
         return np.sum(mix.pm * (dd * cdf - lower_mean), axis=1) + d * mix.p0
 
 
-def ilp_local_model(aux: ILPAuxModel) -> IlpLocalGain:
-    return IlpLocalGain(aux)
+ilp_local_model = IlpLocalGain
 
 
 def ilp_global_sample(
@@ -571,8 +560,6 @@ def ilp_global_sample(
 ) -> EmpiricalGainSample:
     """Offline sample of the ILP global gain ``W = sum min(X_n, tcl)``: year 1 of the T = 1
     ILP-global batch on the block streams, so a prefix of any larger sample with its seed."""
-    from .simulation import _year_one  # simulation imports this module
-
     draws = _year_one(lda, PolicySpec("ILP", tcl, GLOBAL), n_draws, seed)
     return EmpiricalGainSample(draws=draws, seed=seed)
 
@@ -618,12 +605,8 @@ class EmpiricalGain(StopLossGain):
         steps = np.diff(self._sorted)
         steps *= np.arange(n - 1, 0, -1)
         np.cumsum(steps[::-1], out=self._excess[: n - 1][::-1])
-        self._mean_se = float(self._draws.std(ddof=1) / math.sqrt(n))
+        self.mean_gain_stderr = float(self._draws.std(ddof=1) / math.sqrt(n))
         super().__init__(float(self._draws.mean()))
-
-    @property
-    def mean_gain_stderr(self) -> float:
-        return self._mean_se
 
     def stop_loss(self, delta: np.ndarray) -> np.ndarray:
         n = self._sorted.size
@@ -634,7 +617,7 @@ class EmpiricalGain(StopLossGain):
 
     def expected_max_stderr(self, c1: float, c2: float) -> float:
         if c2 == -math.inf:
-            return self._mean_se
+            return self.mean_gain_stderr
         vals = np.maximum(c1 + self._draws, c2)
         return float(vals.std(ddof=1) / math.sqrt(vals.size))
 
@@ -658,8 +641,7 @@ class EmpiricalGain(StopLossGain):
         return np.std(tables, axis=0, ddof=1) / math.sqrt(_SECTIONS)
 
 
-def ilp_global_model(sample: EmpiricalGainSample) -> EmpiricalGain:
-    return EmpiricalGain(sample)
+ilp_global_model = EmpiricalGain
 
 
 # ---------------------------------------------------------------------------

@@ -37,22 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import _ig_transform
-from .policies import (
-    GLOBAL,
-    LOCAL,
-    ConfigError,
-    ILPAuxModel,
-    LDAModel,
-    Objective,
-    PolicySpec,
-)
-from .stopping import ValueTable, claim_years, thresholds
+from .distributions import ConfigError, _ig_transform
+from .stopping import GLOBAL, LOCAL, Objective, ValueTable, claim_years, thresholds
+
+if TYPE_CHECKING:
+    from .policies import ILPAuxModel, LDAModel, PolicySpec
 
 _RULE_STREAM_TAG = 0x52554C45  # separates the random-rule stream from scenario streams
 # Scenarios per block of the simulation kernel.  Each block owns its streams,
@@ -101,10 +95,12 @@ def _gain(z: np.ndarray, zt: np.ndarray, objective: Objective) -> np.ndarray:
     return (z - zt) if objective == GLOBAL else -zt
 
 
-def _insured(policy: PolicySpec, xs: np.ndarray, year: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _insured(
+    policy: PolicySpec, xs: np.ndarray, year: np.ndarray, counts: np.ndarray, z: np.ndarray
+) -> np.ndarray:
     """The policy's flat ``Zt`` from a block's flat severities ``xs``, the
-    scenario-year index of each (scenario-major, in draw order) and the flat
-    ``Z`` of its years."""
+    scenario-year index of each (scenario-major, in draw order), the flat
+    loss count and the flat ``Z`` of its years."""
     kind, param = policy.kind, policy.param
     if kind == "ALP":
         return np.maximum(z - param, 0.0)
@@ -114,7 +110,6 @@ def _insured(policy: PolicySpec, xs: np.ndarray, year: np.ndarray, z: np.ndarray
     # the largest running total within it; its losses go down one column
     # of a zero-padded panel, where the totals rise.
     over = z > param
-    counts = np.bincount(year, minlength=z.size)
     pos = np.arange(xs.size) - (np.cumsum(counts) - counts)[year]
     keep = over[year]
     panel = np.zeros((counts.max(initial=0), np.count_nonzero(over)))
@@ -148,12 +143,14 @@ def _simulate(lda: LDAModel, policy: PolicySpec | None, horizon_years, n_scenari
             counts = counts_rng.poisson(lda.frequency.rate, (hi - lo, horizon_years))
             total = int(counts.sum())
             xs = _ig_transform(lda.severity, normal_rng.standard_normal(total), uniform_rng.random(total))
-            year = np.repeat(np.arange(counts.size), counts.ravel())
+            flat = counts.ravel()
+            year = np.repeat(np.arange(counts.size), flat)
             # bincount adds each year's losses in draw order, starting from 0.0
             z_years = np.bincount(year, xs, counts.size)
             z[lo - start : hi - start] = z_years.reshape(counts.shape)
             if policy is not None:
-                zt[lo - start : hi - start] = _insured(policy, xs, year, z_years).reshape(counts.shape)
+                zt_years = _insured(policy, xs, year, flat, z_years)
+                zt[lo - start : hi - start] = zt_years.reshape(counts.shape)
         yield z, zt
 
 

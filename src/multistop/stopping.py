@@ -24,12 +24,16 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Literal, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy.special import ndtr
 
 from .distributions import NumericalError
+
+Objective = Literal["local", "global"]
+LOCAL: Objective = "local"
+GLOBAL: Objective = "global"
 
 
 @runtime_checkable
@@ -103,7 +107,7 @@ class StopLossGain:
         # count_nonzero is one C call, cheaper on a row than .all() and .any()
         if np.count_nonzero(ok) < ok.size:
             i = np.flatnonzero(~ok)[0]
-            objective = "local" if self.local else "global"
+            objective = LOCAL if self.local else GLOBAL
             raise ValueError(
                 f"{objective}-objective model needs {regime}, got ({c1.flat[i]}, {c2.flat[i]})"
             )
@@ -260,6 +264,10 @@ class StoppingState:
 
     def __post_init__(self) -> None:
         T, k = self.horizon.T, self.horizon.k
+        if (T, k) != (self.table.T, self.table.k):
+            raise ValueError(
+                f"horizon T={T}, k={k} does not match table T={self.table.T}, k={self.table.k}"
+            )
         if not (1 <= self.year <= T):
             raise ValueError(f"year {self.year} outside 1..{T}")
         if not (0 <= self.rights_used < k):
@@ -325,6 +333,4 @@ class LogNormalLocalGain(StopLossGain):
         return d * ndtr(z) - self._ez * ndtr(z - self.sigma)
 
 
-def lognormal_local_model(mu: float, sigma: float) -> LogNormalLocalGain:
-    """Gain model for i.i.d. LogNormal(mu, sigma^2) insured losses."""
-    return LogNormalLocalGain(mu=mu, sigma=sigma)
+lognormal_local_model = LogNormalLocalGain

@@ -119,11 +119,22 @@ def run_validation_suite() -> list[Check]:
     )
     checks.append(_check("local + global mean identity", max(alp_gap, pap_gap), 1e-6))
 
-    # ILP local first cell
+    # ILP local stop-loss E[(d - Zt)+] = d P[N = 0] + int_0^d (d - s) f(s) ds,
+    # f the count-mixed IG-sum density truncated at the model's own m_max
     aux = ILPAuxModel(aux_rate=4.0, aux_severity=IGParams(mu=1.0, lam=3.0))
-    checks.append(
-        _check("ILP local mean", abs(ilp_local_model(aux).mean_gain + 4.0), 1e-12)
-    )
+    mix = aux.lda.mixture()
+
+    def stop_loss_quad(d: float) -> float:
+        body, _ = integrate.quad(
+            lambda s: (d - s) * float(np.sum(mix.pm * _ig_pdf(s, mix.m_mu, mix.beta))),
+            0.0, d, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        return d * mix.p0 + body
+
+    ds = np.array([0.5, 2.0, 4.0, 9.0])
+    quads = np.array([stop_loss_quad(d) for d in ds.tolist()])
+    err = float(np.max(np.abs(ilp_local_model(aux).stop_loss(-ds) - quads)))
+    checks.append(_check("ILP local stop-loss vs density quadrature", err, 1e-12))
     return checks
 
 

@@ -6,6 +6,12 @@ rounds to 0.  ``crossing_pmf_quadrature`` integrates one loss's tail
 against the density of the sum before it, so it checks the closed-form
 crossing pmf ``F_{S_{j-1}} - F_{S_j}``.
 
+``exact_pap_means`` gives the means of PAP's insured loss and of its
+global gain from an identity, with no quadrature: partial sums rise, so the
+insured loss is ``Zt = sum_{j <= N} X_j 1{S_j <= a}``, and since ``N`` is
+independent of the exchangeable losses, ``E[X_j; S_j <= a] = E[S_j; S_j <=
+a] / j``.
+
 ``bessel_k``, ``gig_pdf`` and ``gig_cdf`` are the general-order Generalized
 Inverse Gaussian law ``GIG(alpha, beta, p)``, density proportional to
 ``x^(p-1) exp(-(alpha x + beta / x) / 2)``, by quadrature.  An IG sum
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from multistop.distributions import _ig_pdf, _ig_tails
+from multistop.distributions import _ig_pdf, _ig_tails, poisson_sf
 
 
 def upper_tail_quadrature(x: float, mu: float, lam: float) -> float:
@@ -49,6 +55,16 @@ def crossing_pmf_quadrature(m_star: int, mu: float, lam: float, attachment: floa
 
     val, _ = integrate.quad(integrand, 0.0, attachment, epsabs=1e-10, epsrel=1e-10, limit=200)
     return float(val)
+
+
+def exact_pap_means(lda, attachment: float) -> tuple[float, float]:
+    """``E[Zt]`` of PAP's insured loss and ``E[W]`` of its global gain,
+    ``sum_j P[N >= j] E[S_j; S_j <= a] / j`` and ``sum_j P[N >= j] E[S_j; S_j > a] / j``,
+    truncated at the model's own ``m_max``."""
+    at = lda.mixture().tails(attachment)
+    j = np.arange(1, lda.m_max + 1)
+    reach = np.array([poisson_sf(i - 1, lda.frequency) for i in j.tolist()])
+    return float(np.sum(reach * at.lower_mean / j)), float(np.sum(reach * at.upper_mean / j))
 
 
 @dataclass(frozen=True)

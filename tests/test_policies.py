@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import multistop
 from mc_oracles import (
     alp_insured_losses,
     annual_loss,
@@ -16,6 +17,7 @@ from mc_oracles import (
     mc_expected_max,
     pap_paths,
 )
+from multistop import expansion, policies, stopping
 from multistop.distributions import (
     POISSON_TAIL,
     CompoundIG,
@@ -40,6 +42,7 @@ from multistop.expansion import (
 from multistop.experiments import preset_config
 from multistop.policies import (
     GLOBAL,
+    LOCAL,
     ConfigError,
     CrossingLaw,
     EmpiricalGainSample,
@@ -73,7 +76,7 @@ from pap_global_reference import ReferencePapGlobal
 from pap_inner_reference import ReferencePapInner as FrozenPapInner
 from pap_law_reference import ReferencePapGlobal as FrozenPapGlobal
 from pap_law_reference import ReferencePapLocal as FrozenPapLocal
-from quad_oracle import crossing_pmf_quadrature
+from quad_oracle import crossing_pmf_quadrature, exact_pap_means
 from table_reference import reference_expected_max, reference_value_table
 
 ALP_LDA = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
@@ -483,8 +486,9 @@ def test_ilp_global_empirical_contract():
 def test_ilp_global_small_sample_warns():
     lda = LDAModel(FrequencyModel(rate=3.0), IGParams(mu=2.0, lam=3.0))
     sample = ilp_global_sample(lda, 1.5, 100, 3)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="only 100 draws") as record:
         ilp_global_model(sample)
+    assert record[0].filename == __file__  # the warning points at the model's caller
 
 
 def test_ilp_global_mean_monotone_in_tcl():
@@ -977,6 +981,117 @@ def test_pap_sweep_models_equal_the_frozen_construction(rate, mu, lam, scale):
     _assert_pap_models_equal_frozen(lda, attachment, SWEEP_HORIZON, SWEEP_HORIZON)
 
 
+# (rate, mu, lambda, attachment) of the exact-mean check: the PAP_LAW_CASES
+# ("preset" is the pap-study contract), the concentrated severity at two more
+# attachments, a light severity at rate 10, and the corners of rates 0.1, 10
+# and 100 with mu, lambda and attachment / E[Z] at 0.01 and 100 (the rate-10
+# heavy-severity corner is the contract at attachment 1e5)
+EXACT_MEAN_CASES = {
+    **PAP_LAW_CASES,
+    "concentrated-0.045": (3.0, 0.01, 1e4, 0.045),
+    "concentrated-0.0449": (3.0, 0.01, 1e4, 0.0449),
+    "light": (10.0, 0.01, 100.0, 0.1),
+    **{
+        f"corner-{rate:g}-{mu:g}-{lam:g}-{scale:g}": (rate, mu, lam, scale * (rate * mu))
+        for rate, mu, lam, scale in itertools.product((0.1, 10.0, 100.0), *[(0.01, 100.0)] * 3)
+    },
+}
+# |model mean - exact mean| / E[Z] as measured, where it exceeds 1e-12.  At
+# rate 0.1 the errors near 1e-11 are the size of the Poisson tail the models
+# drop at m_max (P[N >= m_max] = 1.8e-11 there).
+EXACT_MEAN_MISSES = {
+    ("preset", "global"): 9.6e-12,
+    ("skewed", "local"): 1.1e-11,
+    ("skewed", "global"): 5.9e-06,
+    ("rate-2", "global"): 4.9e-11,
+    ("concentrated", "local"): 0.0051,
+    ("concentrated", "global"): 0.0072,
+    ("concentrated-0.045", "local"): 0.18,
+    ("concentrated-0.045", "global"): 0.4,
+    ("concentrated-0.0449", "local"): 0.12,
+    ("concentrated-0.0449", "global"): 0.11,
+    ("light", "local"): 0.022,
+    ("light", "global"): 0.023,
+    ("corner-0.1-0.01-0.01-0.01", "global"): 1.6e-11,
+    ("corner-0.1-0.01-0.01-100", "local"): 1.2e-11,
+    ("corner-0.1-0.01-0.01-100", "global"): 1.4e-12,
+    ("corner-0.1-0.01-100-0.01", "global"): 1.6e-11,
+    ("corner-0.1-0.01-100-100", "local"): 1.6e-11,
+    ("corner-0.1-100-0.01-0.01", "global"): 3.3e-11,
+    ("corner-0.1-100-0.01-100", "local"): 1.7e-10,
+    ("corner-0.1-100-0.01-100", "global"): 0.024,
+    ("corner-0.1-100-100-0.01", "global"): 1.6e-11,
+    ("corner-0.1-100-100-100", "local"): 1.2e-11,
+    ("corner-0.1-100-100-100", "global"): 1.4e-12,
+    ("corner-10-100-0.01-0.01", "local"): 2e-11,
+    ("corner-10-100-0.01-0.01", "global"): 0.0022,
+    ("corner-10-100-0.01-100", "local"): 4.4e-07,
+    ("corner-10-100-0.01-100", "global"): 0.49,
+    ("corner-100-100-0.01-0.01", "local"): 9.2e-08,
+    ("corner-100-100-0.01-0.01", "global"): 0.0016,
+    ("corner-100-100-0.01-100", "local"): 3.1e-06,
+    ("corner-100-100-0.01-100", "global"): 0.11,
+}
+
+
+def _pap_mean_error(lda, attachment: float, objective: str) -> float:
+    """``|mean_gain - exact| / E[Z]`` of one PAP model (``W = -Zt`` when local)."""
+    zt, w = exact_pap_means(lda, attachment)
+    if objective == LOCAL:
+        gap = pap_local_model(lda, attachment).mean_gain + zt
+    else:
+        gap = pap_global_model(lda, attachment).mean_gain - w
+    return abs(gap) / lda.mean_annual_loss
+
+
+@pytest.mark.parametrize(
+    "name, objective",
+    [
+        pytest.param(
+            name,
+            objective,
+            marks=[
+                pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason=f"PAP-{objective}'s mean gain is "
+                    f"{EXACT_MEAN_MISSES[name, objective]:.2g}·E[Z] from the exact mean",
+                )
+            ]
+            if (name, objective) in EXACT_MEAN_MISSES
+            else [],
+        )
+        for name in EXACT_MEAN_CASES
+        for objective in (LOCAL, GLOBAL)
+    ],
+)
+def test_pap_mean_gain_equals_the_exact_mean(name, objective):
+    rate, mu, lam, attachment = EXACT_MEAN_CASES[name]
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    assert _pap_mean_error(lda, attachment, objective) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at rate 10, IG(100, 0.01), attachment 1e5 the mean gains are "
+    "4.4e-7·E[Z] (local) and 0.49·E[Z] (global) from the exact means",
+)
+@example(rate=10.0, mu=100.0, lam=0.01, scale=100.0)
+@settings(max_examples=20)
+@given(
+    rate=_log_uniform(0.1, 100.0),
+    mu=_log_uniform(0.01, 100.0),
+    lam=_log_uniform(0.01, 100.0),
+    scale=_log_uniform(0.01, 100.0),
+)
+def test_pap_sweep_mean_gains_equal_the_exact_means(rate, mu, lam, scale):
+    lda = LDAModel(FrequencyModel(rate=rate), IGParams(mu=mu, lam=lam))
+    attachment = scale * lda.mean_annual_loss
+    assert _pap_mean_error(lda, attachment, LOCAL) <= 1e-12
+    assert _pap_mean_error(lda, attachment, GLOBAL) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "name, n",
     [
@@ -1162,6 +1277,22 @@ def test_config_roundtrip_builds_models():
         ilp_global_cfg["mc"]["samples"] = 2000
         model = gain_model_from_config(ilp_global_cfg)
     assert model.mean_gain > 0
+
+
+def test_each_model_name_is_the_class_it_builds():
+    for module, name, cls in (
+        (policies, "alp_local_model", "AlpLocalGain"),
+        (policies, "alp_global_model", "AlpGlobalGain"),
+        (policies, "pap_local_model", "PapLocalGain"),
+        (policies, "pap_global_model", "PapGlobalGain"),
+        (policies, "ilp_local_model", "IlpLocalGain"),
+        (policies, "ilp_global_model", "EmpiricalGain"),
+        (stopping, "lognormal_local_model", "LogNormalLocalGain"),
+        (expansion, "gamma_local_model", "GammaLocalGain"),
+        (expansion, "expansion_local_gain_model", "ExpansionLocalGain"),
+    ):
+        assert getattr(module, name) is getattr(module, cls) is getattr(multistop, name)
+    assert lognormal_local_model().mean_gain == -math.exp(0.5)  # the class's mu = 0, sigma = 1
 
 
 @pytest.mark.parametrize(

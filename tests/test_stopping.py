@@ -266,6 +266,17 @@ def test_infeasible_state_rejected(ln_table_t7):
         StoppingState(year=5, rights_used=0, horizon=Horizon(7, 4), table=ln_table_t7)
 
 
+@pytest.mark.parametrize("horizon", [Horizon(8, 3), Horizon(10, 3), Horizon(8, 4)])
+def test_state_rejects_a_horizon_other_than_its_tables(horizon):
+    # a T = 10, k = 4 table read as Horizon(8, 3) would give year 1 the
+    # 7-years-left cell (-1.2652), not the table's first-year trigger (-0.9630)
+    table = compute_value_table(lognormal_local_model(0.0, 1.0), Horizon(T=10, k=4))
+    with pytest.raises(ValueError, match="does not match table T=10, k=4"):
+        StoppingState(year=1, rights_used=0, horizon=horizon, table=table)
+    state = StoppingState(year=1, rights_used=0, horizon=Horizon(10, 4), table=table)
+    assert state.current_threshold == table.threshold(9, 1)
+
+
 def test_equal_gains_claim_immediately():
     model = DiscreteGain([2.0], [1.0])
     table = compute_value_table(model, Horizon(T=6, k=3))
